@@ -1,95 +1,23 @@
-"""Exact tools for the max knapsack profit of the size-classed payoff function."""
+"""Exact tools for the max knapsack profit of the size-classed payoff function.
 
-from .analysis import (
-    FAMILIES,
-    LimitBracket,
-    MuFamily,
-    SweepResult,
-    SweepRow,
-    build_witness,
-    monotonic_sweep,
-    mu_for,
-    tinf_bracket,
-)
-from .binpack import PackedBin, PackingResult, adversarial_instance, harmonic_pack
-from .exactnum import rat, to_decimal
-from .harmonic import HarmonicParams, KnapsackInstance, classify, eval_fk, profit
-from .ip_model import (
-    DEFAULT_BRUTE_CAP,
-    IpSolution,
-    SolveReport,
-    cost,
-    enumerate_feasible,
-    is_feasible,
-    iter_feasible,
-    score,
-    solve_brute,
-)
-from .solvers import (
-    CASE_K1,
-    CASE_MU_GE_2,
-    CASE_SYLVESTER,
-    ClosedFormResult,
-    SolveOutcome,
-    compute_m,
-    greedy_solution,
-    solve,
-    solve_closed_form,
-)
-from .sylvester import (
-    MAX_TERMS,
-    SylvesterTable,
-    largest_index_below,
-    sylvester_table,
-    table_covering,
-    telescope_sum,
-)
+The package root carries the names the README and the scripts use; every
+other helper is imported from its submodule.
+"""
+
+from .analysis import tinf_bracket
+from .binpack import adversarial_instance, harmonic_pack
+from .exactnum import to_decimal
+from .harmonic import HarmonicParams
+from .solvers import solve, solve_closed_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_K1",
-    "CASE_MU_GE_2",
-    "CASE_SYLVESTER",
-    "ClosedFormResult",
-    "DEFAULT_BRUTE_CAP",
-    "FAMILIES",
     "HarmonicParams",
-    "IpSolution",
-    "KnapsackInstance",
-    "LimitBracket",
-    "MAX_TERMS",
-    "MuFamily",
-    "PackedBin",
-    "PackingResult",
-    "SolveOutcome",
-    "SolveReport",
-    "SweepResult",
-    "SweepRow",
-    "SylvesterTable",
     "adversarial_instance",
-    "build_witness",
-    "classify",
-    "compute_m",
-    "cost",
-    "enumerate_feasible",
-    "eval_fk",
-    "greedy_solution",
     "harmonic_pack",
-    "is_feasible",
-    "iter_feasible",
-    "largest_index_below",
-    "monotonic_sweep",
-    "mu_for",
-    "profit",
-    "rat",
-    "score",
     "solve",
-    "solve_brute",
     "solve_closed_form",
-    "sylvester_table",
-    "table_covering",
-    "telescope_sum",
     "tinf_bracket",
     "to_decimal",
 ]

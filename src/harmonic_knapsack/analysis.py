@@ -9,6 +9,7 @@ at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
 build_witness turns a feasible count vector into an actual item multiset
 whose total size is exactly 1 and whose profit trails the vector's score by
 less than mu*eps, exhibiting the optimum as a true packing profit.
+witness_counts is the one place that picks that vector for (k, mu).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Union
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 from .ip_model import IpSolution, cost, is_feasible
-from .solvers import solve, solve_closed_form
+from .solvers import greedy_solution, solve, solve_closed_form
 from .sylvester import sylvester_table
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "SweepResult",
     "LimitBracket",
     "mu_for",
+    "witness_counts",
     "build_witness",
     "monotonic_sweep",
     "tinf_bracket",
@@ -67,6 +69,25 @@ def mu_for(family: Union[str, MuFamily], k: int) -> Fraction:
     if k < fam.min_k:
         raise ValueError(f"family {fam.name} needs k >= {fam.min_k}, got {k}")
     return fam.mu_of(k)
+
+
+def witness_counts(params: HarmonicParams, eps) -> tuple[IpSolution, Fraction]:
+    """Count vector a witness for (k, mu) is built from, and eps clamped to it.
+
+    The vector is the greedy one when k >= 2 and mu < 2, and all zeros
+    otherwise (k = 1 has no classes; for mu >= 2 every class coefficient is
+    non-positive). eps is lowered to 1/cost - 1 when it exceeds that, so the
+    pair is always accepted by build_witness on the cost side.
+    """
+    if params.k >= 2 and params.mu < 2:
+        counts, _ = greedy_solution(params)
+    else:
+        counts = (0,) * (params.k - 1)
+    eps = Fraction(eps)
+    load = cost(counts, params)
+    if load > 0:
+        eps = min(eps, 1 / load - 1)
+    return counts, eps
 
 
 def build_witness(params: HarmonicParams, counts: IpSolution, eps) -> KnapsackInstance:

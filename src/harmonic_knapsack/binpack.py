@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import build_witness
+from .analysis import build_witness, witness_counts
 from .harmonic import HarmonicParams, KnapsackInstance, classify
-from .solvers import greedy_solution
 
 __all__ = ["PackedBin", "PackingResult", "harmonic_pack", "adversarial_instance"]
 
@@ -98,15 +97,16 @@ def harmonic_pack(params: HarmonicParams, items: KnapsackInstance) -> PackingRes
 
 
 def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> KnapsackInstance:
-    """n_bundles copies of the greedy witness bundle, classes descending.
+    """n_bundles copies of the witness bundle, classes descending.
 
+    The bundle comes from witness_counts, so eps is clamped the same way.
     Each bundle sums to exactly 1, so the true packing optimum is at most
     n_bundles. Within a bundle the smallest items (class k) come first; the
     fixed order keeps runs reproducible.
     """
     if n_bundles < 0:
         raise ValueError(f"n_bundles must be >= 0, got {n_bundles}")
-    counts, _ = greedy_solution(params)
+    counts, eps = witness_counts(params, eps)
     bundle = build_witness(params, counts, eps)
     ordered = sorted(bundle.items, key=lambda x: classify(params, x), reverse=True)
     return KnapsackInstance(tuple(ordered) * n_bundles)

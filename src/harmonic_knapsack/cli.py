@@ -19,19 +19,12 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import FAMILIES, mu_for, build_witness, tinf_bracket
+from .analysis import FAMILIES, build_witness, monotonic_sweep, mu_for, tinf_bracket, witness_counts
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, KnapsackInstance, eval_fk
-from .ip_model import cost
-from .solvers import (
-    CASE_SYLVESTER,
-    greedy_solution,
-    solve,
-    solve_closed_form,
-)
-from .sylvester import largest_index_below, sylvester_table, table_covering
-from .solvers import compute_m
+from .solvers import closed_form_pieces, solve
+from .sylvester import sylvester_table
 
 __all__ = ["parse_rational_arg", "run", "main"]
 
@@ -64,11 +57,24 @@ def _dump_csv(header: list[str], rows: list[list[str]]) -> None:
     writer.writerows(rows)
 
 
-def _brute_cap() -> Optional[int]:
+def _positive_int(s: str) -> int:
+    try:
+        value = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _brute_cap(parser: argparse.ArgumentParser) -> Optional[int]:
     raw = os.environ.get("HARMONIC_BRUTE_CAP")
     if raw is None or raw == "":
         return None
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"HARMONIC_BRUTE_CAP must be an integer, got {raw!r}")
 
 
 def _resolve_mu(args, parser: argparse.ArgumentParser, default_family: Optional[str] = None) -> Fraction:
@@ -114,21 +120,11 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _explain_fields(params: HarmonicParams):
-    """m, q, next term and next prefix sum, when defined for (k, mu)."""
-    if params.k < 2 or params.mu >= 2:
-        return None
-    m = compute_m(params)
-    table = table_covering(m)
-    q = largest_index_below(table, m)
-    return m, q, table.r_at(q + 1), table.s_at(q + 1)
-
-
 def _cmd_ip_opt(args, parser) -> int:
     params = HarmonicParams(args.k, _resolve_mu(args, parser))
-    outcome = solve(params, method=args.method, cap=_brute_cap())
+    outcome = solve(params, method=args.method, cap=_brute_cap(parser))
     decimal = to_decimal(outcome.opt, args.digits)
-    explain = _explain_fields(params) if (args.explain or args.format == "json") else None
+    explain = closed_form_pieces(params) if (args.explain or args.format == "json") else None
     if args.format == "json":
         payload = {
             "k": params.k,
@@ -178,14 +174,12 @@ def _cmd_table(args, parser) -> int:
         parser.error("--k-min must be >= 1")
     if args.k_max < args.k_min:
         parser.error("--k-max must be >= --k-min")
-    rows = []
-    for k in range(args.k_min, args.k_max + 1):
-        if k < fam.min_k:
-            rows.append((k, None, None, None))
-            continue
-        mu = fam.mu_of(k)
-        outcome = solve(HarmonicParams(k, mu), method="auto", cap=_brute_cap())
-        rows.append((k, mu, outcome.opt, to_decimal(outcome.opt, args.digits)))
+    # the family has no slope below min_k; those rows print as dashes
+    first = max(args.k_min, fam.min_k)
+    rows = [(k, None, None, None) for k in range(args.k_min, min(first, args.k_max + 1))]
+    if first <= args.k_max:
+        sweep = monotonic_sweep(fam, first, args.k_max)
+        rows += [(r.k, r.mu, r.opt, to_decimal(r.opt, args.digits)) for r in sweep.rows]
     if args.format == "json":
         _dump_json(
             {
@@ -279,22 +273,9 @@ def _cmd_limit(args, parser) -> int:
     return 0
 
 
-def _witness_counts(params: HarmonicParams):
-    """Count vector the witness is built from: greedy when it applies."""
-    if params.k >= 2 and params.mu < 2:
-        counts, _ = greedy_solution(params)
-        return counts
-    # mu >= 2: every class coefficient is non-positive, all zeros is optimal
-    return (0,) * (params.k - 1)
-
-
 def _cmd_witness(args, parser) -> int:
     params = HarmonicParams(args.k, _resolve_mu(args, parser))
-    counts = _witness_counts(params)
-    eps = args.eps
-    load = cost(counts, params)
-    if load > 0:
-        eps = min(eps, 1 / load - 1)
+    counts, eps = witness_counts(params, args.eps)
     instance = build_witness(params, counts, eps)
     print(instance.to_json())
     return 0
@@ -334,7 +315,7 @@ def _cmd_simulate(args, parser) -> int:
 
 def _add_format(sub, default_digits: int) -> None:
     sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sub.add_argument("--digits", type=int, default=default_digits, help="decimal places")
+    sub.add_argument("--digits", type=_positive_int, default=default_digits, help="decimal places")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--items", help="path to a JSON array of \"p/q\" sizes")
     source.add_argument("--adversarial", type=int, metavar="N", help="number of witness bundles")
-    p.add_argument("--eps", type=parse_rational_arg, default=Fraction(1, 1000))
+    p.add_argument(
+        "--eps",
+        type=parse_rational_arg,
+        default=Fraction(1, 1000),
+        help="item inflation, clamped to the feasible range (default 1/1000)",
+    )
     p.add_argument("--shuffle", type=int, metavar="SEED", help="shuffle arrival order")
     p.set_defaults(handler=_cmd_simulate)
 

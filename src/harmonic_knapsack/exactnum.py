@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rat", "to_decimal"]
-
-
-def rat(num, den=1) -> Fraction:
-    """Canonical reduced fraction num/den; the sign ends up on the numerator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
+__all__ = ["to_decimal"]
 
 
 def to_decimal(value, digits: int) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from .harmonic import HarmonicParams
 
@@ -29,8 +29,6 @@ __all__ = [
     "score",
     "cost",
     "is_feasible",
-    "iter_feasible",
-    "enumerate_feasible",
     "solve_brute",
 ]
 
@@ -82,15 +80,6 @@ def is_feasible(counts: IpSolution, params: HarmonicParams) -> bool:
     return cost(counts, params) < 1
 
 
-def _resolve_cap(params: HarmonicParams, cap: Optional[int]) -> None:
-    limit = DEFAULT_BRUTE_CAP if cap is None else cap
-    if params.k > limit:
-        raise ValueError(
-            f"k={params.k} exceeds the exhaustive-search cap {limit}; pass a larger "
-            f"cap (or set HARMONIC_BRUTE_CAP for the CLI) to force the enumeration"
-        )
-
-
 def _scaled_problem(params: HarmonicParams):
     """Integer rescaling of cost steps and score gains.
 
@@ -106,56 +95,21 @@ def _scaled_problem(params: HarmonicParams):
     return d, steps, q * big, gains, p * big
 
 
-def iter_feasible(params: HarmonicParams, cap: Optional[int] = None) -> Iterator[IpSolution]:
-    """Yield every feasible count vector in lexicographic order.
-
-    Depth-first with pruning: a prefix whose cost already reaches 1 cuts the
-    whole subtree, and within one slot larger counts only add cost.
-    """
-    _resolve_cap(params, cap)
-    d, steps, _, _, _ = _scaled_problem(params)
-    k = params.k
-    counts = [0] * (k - 1)
-
-    def extend(pos: int, load: int) -> Iterator[IpSolution]:
-        if pos == k - 1:
-            yield tuple(counts)
-            return
-        step = steps[pos]
-        for value in range(pos + 2):
-            new_load = load + value * step
-            if new_load >= d:
-                break
-            counts[pos] = value
-            yield from extend(pos + 1, new_load)
-        counts[pos] = 0
-
-    return extend(0, 0)
-
-
-def enumerate_feasible(
-    params: HarmonicParams,
-    visit: Optional[Callable[[IpSolution], None]] = None,
-    cap: Optional[int] = None,
-) -> int:
-    """Drive `visit` over every feasible vector, returning how many there are."""
-    n = 0
-    for counts in iter_feasible(params, cap):
-        n += 1
-        if visit is not None:
-            visit(counts)
-    return n
-
-
 def solve_brute(params: HarmonicParams, cap: Optional[int] = None) -> SolveReport:
     """Maximize the score over all feasible count vectors.
 
     Ties break toward the lexicographically smallest vector, which is simply
-    the first maximizer the enumeration order reaches. nodes_visited counts
-    the candidate slot assignments examined, including the one per slot that
-    triggers the cost cutoff.
+    the first maximizer the enumeration order reaches. feasible_count is the
+    number of feasible vectors; nodes_visited counts the candidate slot
+    assignments examined, including the one per slot that triggers the cost
+    cutoff.
     """
-    _resolve_cap(params, cap)
+    limit = DEFAULT_BRUTE_CAP if cap is None else cap
+    if params.k > limit:
+        raise ValueError(
+            f"k={params.k} exceeds the exhaustive-search cap {limit}; pass a larger "
+            f"cap (or set HARMONIC_BRUTE_CAP for the CLI) to force the enumeration"
+        )
     d, steps, m_scale, gains, base = _scaled_problem(params)
     k = params.k
     counts = [0] * (k - 1)

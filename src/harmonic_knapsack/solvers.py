@@ -30,6 +30,7 @@ __all__ = [
     "ClosedFormResult",
     "SolveOutcome",
     "compute_m",
+    "closed_form_pieces",
     "solve_closed_form",
     "greedy_solution",
     "solve",
@@ -68,6 +69,20 @@ def compute_m(params: HarmonicParams) -> int:
     return math.ceil(1 / slack) - 1
 
 
+def closed_form_pieces(params: HarmonicParams) -> Optional[tuple[int, int, int, Fraction]]:
+    """(m, Q, r_{Q+1}, S_{Q+1}) for (k, mu), or None where m is undefined.
+
+    Defined for k >= 2 and mu < 2; below mu = 1 the pieces still exist (m is
+    k-1) even though no closed form is built from them there.
+    """
+    if params.k < 2 or params.mu >= 2:
+        return None
+    m = compute_m(params)
+    table = table_covering(m)
+    q = largest_index_below(table, m)
+    return m, q, table.r_at(q + 1), table.s_at(q + 1)
+
+
 def solve_closed_form(params: HarmonicParams) -> ClosedFormResult:
     """Optimal score without enumeration.
 
@@ -82,11 +97,7 @@ def solve_closed_form(params: HarmonicParams) -> ClosedFormResult:
         raise ValueError(
             f"no closed form for k >= 2 with mu < 1 (got mu={params.mu}); use solve_brute"
         )
-    m = compute_m(params)
-    table = table_covering(m)
-    q = largest_index_below(table, m)
-    r_next = table.r_at(q + 1)
-    s_next = table.s_at(q + 1)
+    m, q, r_next, s_next = closed_form_pieces(params)
     opt = s_next + (params.mu - 1) / r_next
     return ClosedFormResult(CASE_SYLVESTER, opt=opt, m=m, q=q, r_next=r_next, s_next=s_next)
 

@@ -17,7 +17,6 @@ __all__ = [
     "SylvesterTable",
     "sylvester_table",
     "table_covering",
-    "telescope_sum",
     "largest_index_below",
 ]
 
@@ -79,18 +78,6 @@ def table_covering(bound: int) -> SylvesterTable:
         term = term * (term + 1)
         length += 1
     return sylvester_table(length)
-
-
-def telescope_sum(table: SylvesterTable, t: int) -> Fraction:
-    """Plain summation of 1/(r_j + 1) for j <= t.
-
-    Deliberately computed term by term; the telescoped form 1 - 1/r_{t+1} is
-    asserted against this in the tests, which is why t must stay one short of
-    the table length.
-    """
-    if not 0 <= t <= table.t_max - 1:
-        raise ValueError(f"t must be in [0, {table.t_max - 1}], got {t}")
-    return sum((Fraction(1, table.r_at(j) + 1) for j in range(1, t + 1)), Fraction(0))
 
 
 def largest_index_below(table: SylvesterTable, bound: int) -> int:

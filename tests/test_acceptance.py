@@ -11,26 +11,13 @@ import random
 import time
 from fractions import Fraction
 
-from harmonic_knapsack import (
-    FAMILIES,
-    HarmonicParams,
-    KnapsackInstance,
-    adversarial_instance,
-    build_witness,
-    cost,
-    enumerate_feasible,
-    eval_fk,
-    greedy_solution,
-    harmonic_pack,
-    mu_for,
-    profit,
-    solve,
-    solve_brute,
-    solve_closed_form,
-    sylvester_table,
-    tinf_bracket,
-    to_decimal,
-)
+from harmonic_knapsack.analysis import FAMILIES, build_witness, mu_for, tinf_bracket, witness_counts
+from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
+from harmonic_knapsack.exactnum import to_decimal
+from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, eval_fk, profit
+from harmonic_knapsack.ip_model import solve_brute
+from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form
+from harmonic_knapsack.sylvester import sylvester_table
 from reference_values import (
     FAMILY_RANGE,
     LIMIT_15,
@@ -46,12 +33,6 @@ def report(n, ok, detail):
     line = f"criterion {n}: {'PASS' if ok else 'FAIL'}  {detail}"
     print(line)
     assert ok, line
-
-
-def optimal_counts(params):
-    if params.mu < 2:
-        return greedy_solution(params)[0]
-    return (0,) * (params.k - 1)
 
 
 def test_criterion_1_reference_table_exact():
@@ -129,11 +110,8 @@ def test_criterion_6_witness_properties():
         for k in range(max(2, lo), 11):
             params = HarmonicParams(k, mu_for(family, k))
             opt = solve(params, method="auto").opt
-            counts = optimal_counts(params)
-            load = cost(counts, params)
             for eps in [F(1, 10), F(1, 100), F(1, 1000)]:
-                if load > 0:
-                    eps = min(eps, 1 / load - 1)
+                counts, eps = witness_counts(params, eps)
                 witness = build_witness(params, counts, eps)
                 value = profit(params, witness)
                 ok = ok and witness.total() == 1
@@ -146,7 +124,7 @@ def test_criterion_6_witness_properties():
 def test_criterion_7_enumeration_bound():
     ok = True
     for k in range(1, 9):
-        n = enumerate_feasible(HarmonicParams(k, F(1)))
+        n = solve_brute(HarmonicParams(k, F(1))).feasible_count
         ok = ok and n <= math.factorial(k)
         if k == 3:
             ok = ok and n == 5

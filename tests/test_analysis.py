@@ -2,22 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack import (
+from harmonic_knapsack.analysis import (
     FAMILIES,
-    HarmonicParams,
     build_witness,
-    classify,
-    cost,
-    greedy_solution,
     monotonic_sweep,
     mu_for,
-    profit,
-    score,
-    solve,
-    solve_brute,
-    sylvester_table,
     tinf_bracket,
+    witness_counts,
 )
+from harmonic_knapsack.harmonic import HarmonicParams, classify, profit
+from harmonic_knapsack.ip_model import cost, score, solve_brute
+from harmonic_knapsack.solvers import greedy_solution, solve
+from harmonic_knapsack.sylvester import sylvester_table
 from reference_values import LIMIT_15, TABLE_OPT
 
 F = Fraction
@@ -67,16 +63,13 @@ def test_witness_items_stay_in_their_classes():
         fam = FAMILIES[name]
         for k in range(max(2, fam.min_k), 11):
             params = HarmonicParams(k, mu_for(name, k))
-            if params.mu < 2:
-                counts, _ = greedy_solution(params)
-            else:
-                counts = (0,) * (k - 1)
-            inst = build_witness(params, counts, F(1, 100))
+            counts, eps = witness_counts(params, F(1, 100))
+            inst = build_witness(params, counts, eps)
             assert inst.total() == 1
             remaining = list(inst.items)
             for j, c in enumerate(counts, start=1):
                 for _ in range(c):
-                    item = F(1 + F(1, 100), j + 1)
+                    item = F(1 + eps, j + 1)
                     assert classify(params, item) == j
                     remaining.remove(item)
             for item in remaining:  # fillers all land in the smallest class
@@ -87,24 +80,31 @@ def test_witness_profit_identity():
     # profit == score - mu * eps * cost, exactly
     for k, mu in [(4, F(4, 3)), (7, F(7, 6)), (10, F(80, 71)), (5, F(5, 3))]:
         params = HarmonicParams(k, mu)
-        if mu < 2:
-            counts, _ = greedy_solution(params)
-        else:
-            counts = (0,) * (k - 1)
         for eps in [F(1, 10), F(1, 100), F(1, 1000)]:
-            s = cost(counts, params)
-            if s > 0:
-                eps = min(eps, 1 / s - 1)
+            counts, eps = witness_counts(params, eps)
             inst = build_witness(params, counts, eps)
+            s = cost(counts, params)
             assert profit(params, inst) == score(counts, params) - mu * eps * s
 
 
 def test_witness_profit_never_exceeds_optimum():
     for k in range(2, 9):
         params = HarmonicParams(k, F(k, k - 1))
-        counts, _ = greedy_solution(params) if params.mu < 2 else ((0,) * (k - 1), None)
-        inst = build_witness(params, counts, F(1, 1000))
+        inst = build_witness(params, *witness_counts(params, F(1, 1000)))
         assert profit(params, inst) <= solve_brute(params).opt
+
+
+def test_witness_counts_choice_and_clamp():
+    # greedy below mu = 2, eps clamped to 1/cost - 1 = 1/41 at cost 41/42
+    params = HarmonicParams(10, F(10, 9))
+    assert witness_counts(params, F(1, 10)) == (greedy_solution(params)[0], F(1, 41))
+    assert witness_counts(params, F(1, 100)) == (greedy_solution(params)[0], F(1, 100))
+    # below mu = 1 greedy is only a heuristic, but it is still the source
+    params = HarmonicParams(5, F(1, 2))
+    assert witness_counts(params, F(1, 1000))[0] == greedy_solution(params)[0]
+    # no classes at k = 1 and non-positive coefficients at mu >= 2: zeros, no clamp
+    assert witness_counts(HarmonicParams(1, F(1)), F(5)) == ((), F(5))
+    assert witness_counts(HarmonicParams(4, F(5, 2)), F(1, 2)) == ((0, 0, 0), F(1, 2))
 
 
 def test_witness_validation():

@@ -4,14 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack import (
-    HarmonicParams,
-    KnapsackInstance,
-    adversarial_instance,
-    classify,
-    harmonic_pack,
-    solve_closed_form,
-)
+from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
+from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify
+from harmonic_knapsack.solvers import solve_closed_form
 
 F = Fraction
 

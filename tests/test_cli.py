@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack import KnapsackInstance
+from harmonic_knapsack.harmonic import KnapsackInstance
 from harmonic_knapsack.cli import parse_rational_arg, run
 from reference_values import LIMIT_15, SEQUENCE_FIRST_SEVEN, TABLE_DECIMALS, TABLE_OPT
 
@@ -42,6 +42,13 @@ def test_usage_errors(capsys):
     assert run(["ip-opt", "--k", "4", "--mu", "4/3", "--family", "lee"]) == 2
     assert run(["eval", "--k", "4", "--mu", "1/0", "--x", "1/2"]) == 2
     capsys.readouterr()
+    for argv in (
+        ["ip-opt", "--k", "4", "--mu", "4/3", "--digits", "0"],
+        ["eval", "--k", "4", "--mu", "4/3", "--x", "2/7", "--digits", "-3"],
+        ["limit", "--terms", "3", "--digits", "0"],
+    ):
+        assert run(argv) == 2
+        assert "--digits: must be >= 1" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -72,6 +79,12 @@ def test_ip_opt_explain(capsys):
     assert "Q = 3" in out
     assert "r[Q+1] = 42" in out
     assert "S[Q+1] = 71/42" in out
+    # below mu = 1 the pieces exist although no closed form uses them
+    assert run(["ip-opt", "--k", "5", "--mu", "1/2", "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["m = 4", "Q = 2", "r[Q+1] = 6", "S[Q+1] = 5/3 = 1.66666667"]
+    assert run(["ip-opt", "--k", "1", "--mu", "1", "--explain"]) == 0
+    assert "explain: m is undefined" in capsys.readouterr().out
 
 
 def test_ip_opt_json(capsys):
@@ -98,6 +111,9 @@ def test_brute_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("HARMONIC_BRUTE_CAP", "16")
     assert run(["ip-opt", "--k", "15", "--mu", "15/14", "--method", "brute"]) == 0
     assert "opt = 995/588" in capsys.readouterr().out
+    monkeypatch.setenv("HARMONIC_BRUTE_CAP", "abc")
+    assert run(["ip-opt", "--k", "5", "--mu", "1/2"]) == 2
+    assert "HARMONIC_BRUTE_CAP must be an integer" in capsys.readouterr().err
 
 
 def test_table_matches_reference(capsys):
@@ -185,6 +201,26 @@ def test_simulate_adversarial(capsys):
     assert data["opt_lower_bound"] == 100
     assert data["bins_used"] == sum(data["per_class_bins"].values())
     assert data["shuffle_seed"] is None
+
+
+def test_simulate_adversarial_without_greedy(capsys):
+    # k = 1 and mu >= 2 replay the all-zero witness: one bin per bundle
+    assert run(["simulate", "--k", "1", "--adversarial", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["bins_used"] == 5
+    assert run(["simulate", "--k", "4", "--mu", "5/2", "--adversarial", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bins_used"] == 3
+
+
+def test_simulate_clamps_eps_like_witness(capsys):
+    # greedy counts for k=4, mu=4/3 cost 5/6, so eps clamps from 1/2 to 1/5
+    args = ["--k", "4", "--mu", "4/3", "--eps", "1/2"]
+    assert run(["witness", *args]) == 0
+    bundle = KnapsackInstance.from_json(capsys.readouterr().out)
+    assert bundle.items[0] == F(6, 5) / 2
+    assert run(["simulate", *args, "--adversarial", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["num_items"] == 5 * len(bundle)
+    assert data["opt_lower_bound"] == 5
 
 
 def test_simulate_items_file(tmp_path, capsys):

@@ -5,33 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_knapsack import rat, to_decimal
+from harmonic_knapsack.exactnum import to_decimal
 from reference_values import TABLE_DECIMALS, TABLE_OPT
 
 F = Fraction
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**6)
-
-
-def test_rat_reduces():
-    assert rat(4, 6) == F(2, 3)
-    assert rat(4, 6).denominator == 3
-
-
-def test_rat_sign_on_numerator():
-    r = rat(-3, -6)
-    assert (r.numerator, r.denominator) == (1, 2)
-    r = rat(3, -6)
-    assert (r.numerator, r.denominator) == (-1, 2)
-
-
-def test_rat_reference_cell():
-    assert rat(5050, 2982) == F(2525, 1491)
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        rat(1, 0)
 
 
 def test_arithmetic_examples():

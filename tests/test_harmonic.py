@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_knapsack import HarmonicParams, KnapsackInstance, classify, eval_fk, profit
+from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify, eval_fk, profit
 
 F = Fraction
 

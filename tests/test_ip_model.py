@@ -4,15 +4,8 @@ from itertools import product
 
 import pytest
 
-from harmonic_knapsack import (
-    HarmonicParams,
-    cost,
-    enumerate_feasible,
-    is_feasible,
-    iter_feasible,
-    score,
-    solve_brute,
-)
+from harmonic_knapsack.harmonic import HarmonicParams
+from harmonic_knapsack.ip_model import cost, is_feasible, score, solve_brute
 
 F = Fraction
 
@@ -62,33 +55,31 @@ def test_is_feasible():
 
 
 def test_enumeration_small_cases():
-    assert list(iter_feasible(HarmonicParams(2, F(1)))) == [(0,), (1,)]
-    assert list(iter_feasible(HarmonicParams(3, F(1)))) == [
-        (0, 0),
-        (0, 1),
-        (0, 2),
-        (1, 0),
-        (1, 1),
-    ]
-    assert list(iter_feasible(HarmonicParams(1, F(0)))) == [()]
+    assert oracle_feasible(2) == [(0,), (1,)]
+    assert oracle_feasible(3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert oracle_feasible(1) == [()]
+    for k, mu, n in [(1, F(0), 1), (2, F(1), 2), (3, F(1), 5), (3, F(3, 2), 5)]:
+        assert solve_brute(HarmonicParams(k, mu)).feasible_count == n
 
 
 def test_enumeration_matches_product_oracle():
-    for k in range(1, 7):
-        params = HarmonicParams(k, F(1, 2))
-        assert list(iter_feasible(params)) == oracle_feasible(k)
-
-
-def test_enumerate_visit_and_count():
-    seen = []
-    n = enumerate_feasible(HarmonicParams(3, F(3, 2)), seen.append)
-    assert n == 5
-    assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    # same feasible set, and the argmax is the first maximizer in
+    # lexicographic order, for every slope that produces ties or none
+    for k in range(1, 8):
+        feasible = oracle_feasible(k)
+        for mu in [F(0), F(1, 2), F(1), F(3, 2), F(2)]:
+            if mu > k:
+                continue
+            params = HarmonicParams(k, mu)
+            rep = solve_brute(params)
+            assert rep.feasible_count == len(feasible)
+            scores = [score(z, params) for z in feasible]
+            assert rep.argmax == feasible[scores.index(max(scores))]
 
 
 def test_count_within_factorial():
     for k in range(1, 9):
-        n = enumerate_feasible(HarmonicParams(k, F(1)))
+        n = solve_brute(HarmonicParams(k, F(1))).feasible_count
         assert n <= math.factorial(k)
 
 
@@ -116,7 +107,7 @@ def test_report_is_consistent():
     rep = solve_brute(params)
     assert is_feasible(rep.argmax, params)
     assert score(rep.argmax, params) == rep.opt
-    assert rep.feasible_count == enumerate_feasible(params)
+    assert rep.feasible_count == len(oracle_feasible(6))
     assert rep.nodes_visited >= rep.feasible_count
     assert solve_brute(params) == rep  # deterministic
 
@@ -159,7 +150,7 @@ def test_zeroing_nonpositive_coefficients_never_hurts():
         for mu in [F(1, 2), F(1), F(4, 3), F(9, 5)]:
             params = HarmonicParams(k, mu)
             coeff = [F(1, j) - mu / (j + 1) for j in range(1, k)]
-            for z in iter_feasible(params):
+            for z in oracle_feasible(k):
                 trimmed = tuple(0 if coeff[i] <= 0 else c for i, c in enumerate(z))
                 assert is_feasible(trimmed, params)
                 assert score(trimmed, params) >= score(z, params)
@@ -169,7 +160,7 @@ def test_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         solve_brute(HarmonicParams(15, F(3, 2)))
     with pytest.raises(ValueError, match="cap"):
-        enumerate_feasible(HarmonicParams(20, F(1)))
+        solve_brute(HarmonicParams(20, F(1)))
     # explicit override allows it; 995/588 = 71/42 + (1/14)/42 by hand
     rep = solve_brute(HarmonicParams(15, F(15, 14)), cap=15)
     assert rep.opt == F(995, 588)

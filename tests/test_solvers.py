@@ -2,20 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack import (
+from harmonic_knapsack.harmonic import HarmonicParams
+from harmonic_knapsack.ip_model import cost, score, solve_brute
+from harmonic_knapsack.solvers import (
     CASE_K1,
     CASE_MU_GE_2,
     CASE_SYLVESTER,
-    HarmonicParams,
+    closed_form_pieces,
     compute_m,
-    cost,
     greedy_solution,
-    score,
     solve,
-    solve_brute,
     solve_closed_form,
-    sylvester_table,
 )
+from harmonic_knapsack.sylvester import sylvester_table
 
 F = Fraction
 
@@ -82,6 +81,18 @@ def test_closed_form_pieces_are_consistent():
     assert res.r_next == 42
     assert res.s_next == F(71, 42)
     assert res.opt == res.s_next + (F(12, 11) - 1) / res.r_next == F(391, 231)
+
+
+def test_closed_form_pieces():
+    # mu < 1 still has pieces (m = k-1), printed by ip-opt --explain
+    assert closed_form_pieces(HarmonicParams(5, F(1, 2))) == (4, 2, 6, F(5, 3))
+    assert closed_form_pieces(HarmonicParams(10, F(80, 71))) == (7, 3, 42, F(71, 42))
+    assert closed_form_pieces(HarmonicParams(1, F(1))) is None
+    assert closed_form_pieces(HarmonicParams(4, F(2))) is None
+    for k in range(2, 12):
+        for mu in [F(1), F(11, 10), F(4, 3), F(7, 4)]:
+            res = solve_closed_form(HarmonicParams(k, mu))
+            assert closed_form_pieces(HarmonicParams(k, mu)) == (res.m, res.q, res.r_next, res.s_next)
 
 
 def test_greedy_examples():

@@ -2,16 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack import (
+from harmonic_knapsack.exactnum import to_decimal
+from harmonic_knapsack.sylvester import (
+    SylvesterTable,
     largest_index_below,
     sylvester_table,
     table_covering,
-    telescope_sum,
-    to_decimal,
 )
 from reference_values import SEQUENCE_FIRST_SEVEN
 
 F = Fraction
+
+
+def telescope_sum(table: SylvesterTable, t: int) -> Fraction:
+    """Plain summation of 1/(r_j + 1) for j <= t.
+
+    Deliberately computed term by term; the telescoped form 1 - 1/r_{t+1} is
+    asserted against this below, which is why t must stay one short of the
+    table length.
+    """
+    if not 0 <= t <= table.t_max - 1:
+        raise ValueError(f"t must be in [0, {table.t_max - 1}], got {t}")
+    return sum((Fraction(1, table.r_at(j) + 1) for j in range(1, t + 1)), Fraction(0))
 
 
 def test_first_seven_terms():
