@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Union
 
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 from .ip_model import IpSolution, cost, is_feasible
 from .solvers import greedy_solution, solve, solve_closed_form
-from .sylvester import sylvester_table
+from .sylvester import sylvester_rows
 
 __all__ = [
     "FAMILIES",
@@ -180,12 +181,10 @@ def tinf_bracket(t: int, digits: int = 15) -> LimitBracket:
     """
     if not 2 <= t <= 12:
         raise ValueError(f"t must be in [2, 12], got {t}")
-    table = sylvester_table(t + 1)
-    lower = table.s_at(t)
-    k = table.r_at(t - 1) + 2
-    closed = solve_closed_form(HarmonicParams(k, Fraction(k, k - 1)))
-    upper = closed.opt
-    telescoped = lower + Fraction(1, table.r_at(t) * (table.r_at(t - 1) + 1))
+    (r_prev, _), (r_t, lower) = islice(sylvester_rows(), t - 2, t)
+    k = r_prev + 2
+    upper = solve_closed_form(HarmonicParams(k, Fraction(k, k - 1))).opt
+    telescoped = lower + Fraction(1, r_t * (r_prev + 1))
     if upper != telescoped:
         raise AssertionError(
             f"closed form {upper} disagrees with telescoped bound {telescoped} at t={t}"

@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .analysis import FAMILIES, build_witness, monotonic_sweep, mu_for, tinf_bracket, witness_counts
@@ -24,12 +25,16 @@ from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, KnapsackInstance, eval_fk
 from .solvers import closed_form_pieces, solve
-from .sylvester import sylvester_table
+from .sylvester import sylvester_rows
 
 __all__ = ["parse_rational_arg", "run", "main"]
 
 TABLE_DIGITS = 8
 LIMIT_DIGITS = 15
+# CPython refuses to print an int of more than 4300 digits; these are the
+# largest --digits and --count whose output stays within that.
+MAX_DIGITS = 4300
+MAX_COUNT = 15
 
 
 def parse_rational_arg(s: str) -> Fraction:
@@ -57,14 +62,21 @@ def _dump_csv(header: list[str], rows: list[list[str]]) -> None:
     writer.writerows(rows)
 
 
-def _positive_int(s: str) -> int:
-    try:
-        value = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_up_to(high: int):
+    """argparse type accepting the integers in [1, high]."""
+
+    def parse(s: str) -> int:
+        try:
+            value = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
 
 
 def _brute_cap(parser: argparse.ArgumentParser) -> Optional[int]:
@@ -84,14 +96,14 @@ def _resolve_mu(args, parser: argparse.ArgumentParser, default_family: Optional[
         parser.error("--mu and --family are mutually exclusive")
     if mu is not None:
         return mu
-    if family is None:
-        family = default_family
-    if family is None:
+    if family is not None:
+        return mu_for(family, args.k)
+    if default_family is None:
         parser.error("one of --mu or --family is required")
-    if family == "lee" and args.k == 1:
+    if default_family == "lee" and args.k == 1:
         # the lee rule k/(k-1) has no k=1 value; the packer ignores mu anyway
         return Fraction(1)
-    return mu_for(family, args.k)
+    return mu_for(default_family, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +224,9 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_sylvester(args, parser) -> int:
-    table = sylvester_table(args.count)
     rows = [
-        (j, table.r_at(j), table.s_at(j), to_decimal(table.s_at(j), args.digits))
-        for j in range(1, table.t_max + 1)
+        (j, r, s, to_decimal(s, args.digits))
+        for j, (r, s) in enumerate(islice(sylvester_rows(), args.count), start=1)
     ]
     if args.format == "json":
         _dump_json(
@@ -315,7 +326,7 @@ def _cmd_simulate(args, parser) -> int:
 
 def _add_format(sub, default_digits: int) -> None:
     sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sub.add_argument("--digits", type=_positive_int, default=default_digits, help="decimal places")
+    sub.add_argument("--digits", type=_int_up_to(MAX_DIGITS), default=default_digits, help="decimal places")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = subs.add_parser("sylvester", help="sequence terms and reciprocal prefix sums")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_up_to(MAX_COUNT), required=True)
     _add_format(p, LIMIT_DIGITS)
     p.set_defaults(handler=_cmd_sylvester)
 

@@ -21,13 +21,9 @@ from typing import Optional
 
 from .harmonic import HarmonicParams
 from .ip_model import IpSolution, SolveReport, score, solve_brute
-from .sylvester import largest_index_below, table_covering
+from .sylvester import sylvester_rows
 
 __all__ = [
-    "CASE_K1",
-    "CASE_MU_GE_2",
-    "CASE_SYLVESTER",
-    "ClosedFormResult",
     "SolveOutcome",
     "compute_m",
     "closed_form_pieces",
@@ -36,25 +32,15 @@ __all__ = [
     "solve",
 ]
 
-CASE_K1 = "k_equals_1"
-CASE_MU_GE_2 = "mu_ge_2"
-CASE_SYLVESTER = "sylvester_sum"
-
 
 @dataclass(frozen=True)
-class ClosedFormResult:
-    """Closed-form optimum plus the quantities it was assembled from.
+class SolveOutcome:
+    """Optimal (or greedy) score together with which route produced it."""
 
-    m, q, r_next (= term q+1) and s_next (= reciprocal prefix sum through
-    q+1) are filled only in the sylvester_sum case.
-    """
-
-    case: str
     opt: Fraction
-    m: Optional[int] = None
-    q: Optional[int] = None
-    r_next: Optional[int] = None
-    s_next: Optional[Fraction] = None
+    method: str
+    counts: Optional[IpSolution] = None
+    report: Optional[SolveReport] = None
 
 
 def compute_m(params: HarmonicParams) -> int:
@@ -78,28 +64,25 @@ def closed_form_pieces(params: HarmonicParams) -> Optional[tuple[int, int, int, 
     if params.k < 2 or params.mu >= 2:
         return None
     m = compute_m(params)
-    table = table_covering(m)
-    q = largest_index_below(table, m)
-    return m, q, table.r_at(q + 1), table.s_at(q + 1)
+    for q, (term, total) in enumerate(sylvester_rows()):
+        if term > m:
+            return m, q, term, total
 
 
-def solve_closed_form(params: HarmonicParams) -> ClosedFormResult:
+def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     """Optimal score without enumeration.
 
     Never materializes a count vector, so it works for astronomically large
     k. For k >= 2 with mu < 1 no closed form is claimed; use solve_brute.
     """
-    if params.k == 1:
-        return ClosedFormResult(CASE_K1, opt=params.mu)
-    if params.mu >= 2:
-        return ClosedFormResult(CASE_MU_GE_2, opt=params.mu)
+    if params.k == 1 or params.mu >= 2:
+        return SolveOutcome(params.mu, "closed")
     if params.mu < 1:
         raise ValueError(
             f"no closed form for k >= 2 with mu < 1 (got mu={params.mu}); use solve_brute"
         )
-    m, q, r_next, s_next = closed_form_pieces(params)
-    opt = s_next + (params.mu - 1) / r_next
-    return ClosedFormResult(CASE_SYLVESTER, opt=opt, m=m, q=q, r_next=r_next, s_next=s_next)
+    _, _, r_next, s_next = closed_form_pieces(params)
+    return SolveOutcome(s_next + (params.mu - 1) / r_next, "closed")
 
 
 def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
@@ -128,17 +111,6 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     return picked, score(picked, params)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Optimal (or greedy) score together with which route produced it."""
-
-    opt: Fraction
-    method: str
-    counts: Optional[IpSolution] = None
-    report: Optional[SolveReport] = None
-    closed: Optional[ClosedFormResult] = None
-
-
 def solve(params: HarmonicParams, method: str = "auto", cap: Optional[int] = None) -> SolveOutcome:
     """Dispatch to a solver.
 
@@ -151,8 +123,7 @@ def solve(params: HarmonicParams, method: str = "auto", cap: Optional[int] = Non
         report = solve_brute(params, cap=cap)
         return SolveOutcome(report.opt, "brute", counts=report.argmax, report=report)
     if method == "closed":
-        closed = solve_closed_form(params)
-        return SolveOutcome(closed.opt, "closed", closed=closed)
+        return solve_closed_form(params)
     if method == "greedy":
         counts, value = greedy_solution(params)
         return SolveOutcome(value, "greedy", counts=counts)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,7 +14,7 @@ from harmonic_knapsack.analysis import (
 from harmonic_knapsack.harmonic import HarmonicParams, classify, profit
 from harmonic_knapsack.ip_model import cost, score, solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve
-from harmonic_knapsack.sylvester import sylvester_table
+from harmonic_knapsack.sylvester import sylvester_rows
 from reference_values import LIMIT_15, TABLE_OPT
 
 F = Fraction
@@ -166,11 +167,12 @@ def test_bracket_examples():
 
 
 def test_bracket_width_formula():
+    rows = list(islice(sylvester_rows(), 12))
     for t in range(2, 13):
-        table = sylvester_table(t + 1)
+        (r_prev, _), (r_t, s_t) = rows[t - 2], rows[t - 1]
         br = tinf_bracket(t)
-        assert br.lower == table.s_at(t)
-        assert br.width == F(1, table.r_at(t) * (table.r_at(t - 1) + 1))
+        assert br.lower == s_t
+        assert br.width == F(1, r_t * (r_prev + 1))
         assert br.lower <= br.upper
 
 

@@ -49,6 +49,20 @@ def test_usage_errors(capsys):
     ):
         assert run(argv) == 2
         assert "--digits: must be >= 1" in capsys.readouterr().err
+    # 4300 places is the most CPython prints; an unbounded count or place
+    # number would run for minutes before failing at print time
+    for argv, message in (
+        (["limit", "--terms", "12", "--digits", "5000"], "--digits: must be <= 4300"),
+        (["ip-opt", "--k", "10", "--mu", "80/71", "--digits", "5000"], "--digits: must be <= 4300"),
+        (["eval", "--k", "4", "--mu", "4/3", "--x", "2/7", "--digits", "1000000000"], "--digits: must be <= 4300"),
+        (["sylvester", "--count", "0"], "--count: must be >= 1"),
+        (["sylvester", "--count", "16"], "--count: must be <= 15"),
+        (["sylvester", "--count", "24"], "--count: must be <= 15"),
+    ):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+    assert run(["limit", "--terms", "12", "--digits", "4300"]) == 0
+    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):
@@ -135,6 +149,10 @@ def test_table_dashes_for_undefined_cells(capsys):
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     assert lines[0].split() == ["2", "--", "--", "--"]
     assert lines[1].split()[:3] == ["3", "3", "3"]
+    # outside the table an undefined cell is an error, not an invented slope
+    for cmd in (["ip-opt"], ["eval", "--x", "1/2"], ["witness"], ["simulate", "--adversarial", "3"]):
+        assert run([*cmd, "--k", "1", "--family", "lee"]) == 1
+        assert "family lee needs k >= 2" in capsys.readouterr().err
 
 
 def test_table_csv(capsys):
@@ -168,6 +186,10 @@ def test_sylvester_json(capsys):
     assert run(["sylvester", "--count", "7", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [int(r["r"]) for r in rows] == SEQUENCE_FIRST_SEVEN
+    # 15 is the longest walk whose terms CPython still prints
+    for fmt in ("text", "csv", "json"):
+        assert run(["sylvester", "--count", "15", "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_limit_output(capsys):

@@ -1,22 +1,23 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
 from harmonic_knapsack.ip_model import cost, score, solve_brute
 from harmonic_knapsack.solvers import (
-    CASE_K1,
-    CASE_MU_GE_2,
-    CASE_SYLVESTER,
     closed_form_pieces,
     compute_m,
     greedy_solution,
     solve,
     solve_closed_form,
 )
-from harmonic_knapsack.sylvester import sylvester_table
+from harmonic_knapsack.sylvester import sylvester_rows
 
 F = Fraction
+
+# r_1..r_7 = 1, 2, 6, 42, 1806, 3263442, 10650056950806
+TERMS = [r for r, _ in islice(sylvester_rows(), 7)]
 
 
 def oracle_m(params):
@@ -61,14 +62,17 @@ def test_coefficient_characterization():
 
 
 def test_closed_form_examples():
-    res = solve_closed_form(HarmonicParams(7, F(7, 6)))
-    assert (res.case, res.q, res.opt) == (CASE_SYLVESTER, 2, F(61, 36))
-    res = solve_closed_form(HarmonicParams(10, F(80, 71)))
-    assert (res.m, res.q, res.opt) == (7, 3, F(2525, 1491))
-    res = solve_closed_form(HarmonicParams(3, F(3)))
-    assert (res.case, res.opt) == (CASE_MU_GE_2, F(3))
-    res = solve_closed_form(HarmonicParams(1, F(2, 3)))
-    assert (res.case, res.opt) == (CASE_K1, F(2, 3))
+    params = HarmonicParams(7, F(7, 6))
+    assert closed_form_pieces(params)[1] == 2
+    assert solve_closed_form(params).opt == F(61, 36)
+    params = HarmonicParams(10, F(80, 71))
+    assert closed_form_pieces(params)[:2] == (7, 3)
+    assert solve_closed_form(params).opt == F(2525, 1491)
+    # mu >= 2 and k = 1 have no pieces; the optimum is mu itself
+    params = HarmonicParams(3, F(3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == (None, F(3))
+    params = HarmonicParams(1, F(2, 3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == (None, F(2, 3))
 
 
 def test_closed_form_rejects_small_mu():
@@ -77,10 +81,11 @@ def test_closed_form_rejects_small_mu():
 
 
 def test_closed_form_pieces_are_consistent():
-    res = solve_closed_form(HarmonicParams(12, F(12, 11)))
-    assert res.r_next == 42
-    assert res.s_next == F(71, 42)
-    assert res.opt == res.s_next + (F(12, 11) - 1) / res.r_next == F(391, 231)
+    params = HarmonicParams(12, F(12, 11))
+    _, _, r_next, s_next = closed_form_pieces(params)
+    assert r_next == 42
+    assert s_next == F(71, 42)
+    assert solve_closed_form(params).opt == s_next + (F(12, 11) - 1) / r_next == F(391, 231)
 
 
 def test_closed_form_pieces():
@@ -91,8 +96,27 @@ def test_closed_form_pieces():
     assert closed_form_pieces(HarmonicParams(4, F(2))) is None
     for k in range(2, 12):
         for mu in [F(1), F(11, 10), F(4, 3), F(7, 4)]:
-            res = solve_closed_form(HarmonicParams(k, mu))
-            assert closed_form_pieces(HarmonicParams(k, mu)) == (res.m, res.q, res.r_next, res.s_next)
+            params = HarmonicParams(k, mu)
+            _, _, r_next, s_next = closed_form_pieces(params)
+            assert solve_closed_form(params).opt == s_next + (mu - 1) / r_next
+    # with mu = 1/2, m = k - 1: Q steps up exactly when m reaches a term
+    # (j = 1 would give k = 1, 2, 3, which j = 2 already covers)
+    half = F(1, 2)
+    for j in range(2, 7):
+        r = TERMS[j - 1]
+        for k, q in [(r, j - 1), (r + 1, j), (r + 2, j)]:
+            m, got_q, r_next, s_next = closed_form_pieces(HarmonicParams(k, half))
+            assert (m, got_q) == (k - 1, q), (j, k)
+            assert r_next == TERMS[q] and r_next > m >= TERMS[q - 1]
+            assert s_next == sum(F(1, t) for t in TERMS[: q + 1])
+    # astronomically large k against a plain integer walk
+    for k in [10**100, 10**1000]:
+        m = k - 1
+        terms = [1]
+        while terms[-1] <= m:
+            terms.append(terms[-1] * (terms[-1] + 1))
+        pieces = closed_form_pieces(HarmonicParams(k, half))
+        assert pieces == (m, len(terms) - 1, terms[-1], sum(F(1, t) for t in terms))
 
 
 def test_greedy_examples():
@@ -115,40 +139,37 @@ def test_greedy_preconditions():
 
 def test_greedy_picks_sequence_prefix():
     # the incremented classes are exactly the sequence terms up to m
-    table = sylvester_table(6)
     for k, mu in [(7, F(7, 6)), (12, F(12, 11)), (43, F(44, 43)), (50, F(51, 50))]:
         params = HarmonicParams(k, mu)
         m = compute_m(params)
         counts, _ = greedy_solution(params)
         picked = {j for j, c in enumerate(counts, start=1) if c}
-        expected = {table.r_at(i) for i in range(1, 7) if table.r_at(i) <= m}
+        expected = {r for r in TERMS if r <= m}
         assert picked == expected
         assert all(c in (0, 1) for c in counts)
 
 
 def test_prefix_costs_telescope():
     # cost of the indicator of the first q terms is 1 - 1/r_{q+1}
-    table = sylvester_table(5)
     k = 50
     params = HarmonicParams(k, F(51, 50))
     for q in range(0, 4):
         counts = [0] * (k - 1)
-        for i in range(1, q + 1):
-            counts[table.r_at(i) - 1] = 1
-        assert cost(tuple(counts), params) == 1 - F(1, table.r_at(q + 1))
+        for r in TERMS[:q]:
+            counts[r - 1] = 1
+        assert cost(tuple(counts), params) == 1 - F(1, TERMS[q])
 
 
 def test_prefix_scores_increase():
     # each extra sequence term strictly improves the score
-    table = sylvester_table(5)
     k = 50
     params = HarmonicParams(k, F(51, 50))
     q_top = 4  # r_4 = 42 <= m = 49
     values = []
     for q in range(0, q_top + 1):
         counts = [0] * (k - 1)
-        for i in range(1, q + 1):
-            counts[table.r_at(i) - 1] = 1
+        for r in TERMS[:q]:
+            counts[r - 1] = 1
         values.append(score(tuple(counts), params))
     for lo, hi in zip(values, values[1:]):
         assert lo < hi
