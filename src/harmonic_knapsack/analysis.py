@@ -19,9 +19,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Union
 
-from .exactnum import to_decimal
 from .harmonic import HarmonicParams, KnapsackInstance, classify
-from .ip_model import IpSolution, cost, is_feasible
+from .ip_model import IpSolution, cost, is_feasible, zero_counts
 from .solvers import greedy_solution, solve, solve_closed_form
 from .sylvester import sylvester_rows
 
@@ -29,7 +28,6 @@ __all__ = [
     "FAMILIES",
     "MuFamily",
     "SweepRow",
-    "SweepResult",
     "LimitBracket",
     "mu_for",
     "witness_counts",
@@ -83,7 +81,7 @@ def witness_counts(params: HarmonicParams, eps) -> tuple[IpSolution, Fraction]:
     if params.k >= 2 and params.mu < 2:
         counts, _ = greedy_solution(params)
     else:
-        counts = (0,) * (params.k - 1)
+        counts = tuple(zero_counts(params))
     eps = Fraction(eps)
     load = cost(counts, params)
     if load > 0:
@@ -135,13 +133,7 @@ class SweepRow:
     opt: Fraction
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    non_increasing: bool
-
-
-def monotonic_sweep(family: Union[str, MuFamily], k_min: int, k_max: int) -> SweepResult:
+def monotonic_sweep(family: Union[str, MuFamily], k_min: int, k_max: int) -> list[SweepRow]:
     """Optimum per k across [k_min, k_max] under one family, sorted by k."""
     fam = _family(family)
     if k_min < fam.min_k:
@@ -153,8 +145,7 @@ def monotonic_sweep(family: Union[str, MuFamily], k_min: int, k_max: int) -> Swe
         mu = fam.mu_of(k)
         outcome = solve(HarmonicParams(k, mu), method="auto")
         rows.append(SweepRow(k, mu, outcome.opt))
-    non_increasing = all(a.opt >= b.opt for a, b in zip(rows, rows[1:]))
-    return SweepResult(tuple(rows), non_increasing)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -164,15 +155,13 @@ class LimitBracket:
     t: int
     lower: Fraction
     upper: Fraction
-    lower_decimal: str
-    upper_decimal: str
 
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
 
 
-def tinf_bracket(t: int, digits: int = 15) -> LimitBracket:
+def tinf_bracket(t: int) -> LimitBracket:
     """Bracket the limit between S_t and the lee-family optimum at k = r_{t-1} + 2.
 
     The upper bound goes through solve_closed_form rather than the telescoped
@@ -189,4 +178,4 @@ def tinf_bracket(t: int, digits: int = 15) -> LimitBracket:
         raise AssertionError(
             f"closed form {upper} disagrees with telescoped bound {telescoped} at t={t}"
         )
-    return LimitBracket(t, lower, upper, to_decimal(lower, digits), to_decimal(upper, digits))
+    return LimitBracket(t, lower, upper)

@@ -10,17 +10,47 @@ subject to the sizes fitting into one unit knapsack.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 __all__ = [
+    "MAX_DIGITS",
     "HarmonicParams",
     "KnapsackInstance",
     "classify",
     "eval_fk",
+    "parse_rational",
     "profit",
 ]
+
+# CPython refuses to print an int of more than 4300 digits, so no rational
+# read from outside may carry more than that on either side of its slash.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from "p/q", an integer, or a finite decimal such as 1.75 or 2e-3.
+
+    Numerator and denominator may have at most MAX_DIGITS digits each. The
+    exponent is checked before Fraction builds 10**exponent from it: the
+    mantissa has fewer than len(text) digits to cancel, so an exponent beyond
+    MAX_DIGITS + len(text) can only give a longer result.
+    """
+    exponent = _EXPONENT.search(text)
+    try:
+        fits = exponent is None or abs(int(exponent.group(1))) <= MAX_DIGITS + len(text)
+        value = Fraction(text) if fits else None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational: {text!r}") from None
+    if value is None or abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ValueError(f"{text!r} has more than {MAX_DIGITS} digits in its numerator or denominator")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,7 +99,7 @@ class KnapsackInstance:
         raw = json.loads(text)
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise ValueError('expected a JSON array of "p/q" strings')
-        return cls(tuple(Fraction(s) for s in raw))
+        return cls(tuple(parse_rational(s) for s in raw))
 
 
 def classify(params: HarmonicParams, x) -> int:

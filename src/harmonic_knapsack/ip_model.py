@@ -24,12 +24,14 @@ from .harmonic import HarmonicParams
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
+    "MAX_VECTOR_K",
     "IpSolution",
     "SolveReport",
     "score",
     "cost",
     "is_feasible",
     "solve_brute",
+    "zero_counts",
 ]
 
 IpSolution = tuple[int, ...]
@@ -37,6 +39,12 @@ IpSolution = tuple[int, ...]
 # Beyond this the pruned search can still blow up; the closed form covers
 # large k, so raising the cap is an explicit opt-in.
 DEFAULT_BRUTE_CAP = 14
+
+# Largest k for which a count vector (k - 1 entries) is built. At this k the
+# greedy vector is built, scored and printed, and the all-zero witness with
+# its k filler items packed, in well under a second; ten times larger the
+# latter takes seconds, and far larger k cannot be allocated at all.
+MAX_VECTOR_K = 10_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,13 @@ def _check_vector(counts: IpSolution, params: HarmonicParams) -> None:
     for j, c in enumerate(counts, start=1):
         if c < 0:
             raise ValueError(f"count for class {j} is negative")
+
+
+def zero_counts(params: HarmonicParams) -> list[int]:
+    """A fresh all-zero count vector for params; k above MAX_VECTOR_K is refused."""
+    if params.k > MAX_VECTOR_K:
+        raise ValueError(f"k={params.k} is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
+    return [0] * (params.k - 1)
 
 
 def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
@@ -110,9 +125,9 @@ def solve_brute(params: HarmonicParams, cap: Optional[int] = None) -> SolveRepor
             f"k={params.k} exceeds the exhaustive-search cap {limit}; pass a larger "
             f"cap (or set HARMONIC_BRUTE_CAP for the CLI) to force the enumeration"
         )
+    counts = zero_counts(params)
     d, steps, m_scale, gains, base = _scaled_problem(params)
     k = params.k
-    counts = [0] * (k - 1)
     best: Optional[int] = None
     best_counts: IpSolution = ()
     n_feasible = 0

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .harmonic import HarmonicParams
-from .ip_model import IpSolution, SolveReport, score, solve_brute
+from .ip_model import IpSolution, SolveReport, score, solve_brute, zero_counts
 from .sylvester import sylvester_rows
 
 __all__ = [
@@ -97,7 +97,7 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     if params.k < 2 or params.mu >= 2:
         raise ValueError(f"greedy needs k >= 2 and mu < 2, got k={params.k}, mu={params.mu}")
     m = compute_m(params)
-    counts = [0] * (params.k - 1)
+    counts = zero_counts(params)
     load = Fraction(0)
     while True:
         b = 1 / (1 - load)

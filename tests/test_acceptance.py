@@ -78,10 +78,10 @@ def test_criterion_3_three_solvers_agree():
 def test_criterion_4_limit_bracket():
     start = time.perf_counter()
     bracket = tinf_bracket(10)
+    decimals = (to_decimal(bracket.lower, 15), to_decimal(bracket.upper, 15))
     elapsed = time.perf_counter() - start
     ok = (
-        bracket.lower_decimal == LIMIT_15
-        and bracket.upper_decimal == LIMIT_15
+        decimals == (LIMIT_15, LIMIT_15)
         and bracket.width < F(1, 10**75)
         and elapsed < 1.0
     )

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,17 @@ def test_parse_rational_arg():
         parse_rational_arg("abc")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_rational_arg("1/0")
+    # at most 4300 digits a side, checked before 10**exponent is built
+    assert parse_rational_arg("1e4299") == 10**4299
+    assert parse_rational_arg("100e-4301") == F(1, 10**4299)
+    for text in ("1e4300", "1e-4300", "1.5e-4300", "1e-300000", "1" * 4301):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_rational_arg(text)
+    # without the exponent check this builds a 3,000,001-digit denominator
+    start = time.perf_counter()
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_rational_arg("-2e-3000000")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_eval_text(capsys):
@@ -33,6 +45,19 @@ def test_eval_text(capsys):
 def test_eval_domain_error(capsys):
     assert run(["eval", "--k", "4", "--mu", "4/3", "--x", "3/2"]) == 1
     assert "error" in capsys.readouterr().err
+    # an explicit count vector has k - 1 entries, so its k is bounded; the
+    # closed form never builds one
+    huge = str(10**30)
+    for argv in (
+        ["witness", "--k", huge, "--family", "lee"],
+        ["witness", "--k", huge, "--mu", "3"],
+        ["ip-opt", "--k", huge, "--mu", "3/2", "--method", "greedy"],
+        ["simulate", "--k", huge, "--adversarial", "1"],
+    ):
+        assert run(argv) == 1
+        assert "error: k=10000000000" in capsys.readouterr().err
+    assert run(["ip-opt", "--k", huge, "--mu", "3/2"]) == 0
+    assert "method = closed" in capsys.readouterr().out
 
 
 def test_usage_errors(capsys):
@@ -42,6 +67,13 @@ def test_usage_errors(capsys):
     assert run(["ip-opt", "--k", "4", "--mu", "4/3", "--family", "lee"]) == 2
     assert run(["eval", "--k", "4", "--mu", "1/0", "--x", "1/2"]) == 2
     capsys.readouterr()
+    for argv in (
+        ["ip-opt", "--k", "3", "--mu", "1e-300000"],
+        ["eval", "--k", "3", "--mu", "1", "--x", "1e-5000"],
+        ["witness", "--k", "3", "--mu", "1", "--eps", "1e-5000"],
+    ):
+        assert run(argv) == 2
+        assert "has more than 4300 digits" in capsys.readouterr().err
     for argv in (
         ["ip-opt", "--k", "4", "--mu", "4/3", "--digits", "0"],
         ["eval", "--k", "4", "--mu", "4/3", "--x", "2/7", "--digits", "-3"],
@@ -125,6 +157,10 @@ def test_brute_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("HARMONIC_BRUTE_CAP", "16")
     assert run(["ip-opt", "--k", "15", "--mu", "15/14", "--method", "brute"]) == 0
     assert "opt = 995/588" in capsys.readouterr().out
+    # a raised cap still stops at the bound on an explicit count vector
+    monkeypatch.setenv("HARMONIC_BRUTE_CAP", str(10**40))
+    assert run(["ip-opt", "--k", str(10**30), "--mu", "1/2", "--method", "brute"]) == 1
+    assert "count vector" in capsys.readouterr().err
     monkeypatch.setenv("HARMONIC_BRUTE_CAP", "abc")
     assert run(["ip-opt", "--k", "5", "--mu", "1/2"]) == 2
     assert "HARMONIC_BRUTE_CAP must be an integer" in capsys.readouterr().err
@@ -253,6 +289,11 @@ def test_simulate_items_file(tmp_path, capsys):
     assert data["bins_used"] == 3
     assert data["per_class_bins"] == {"1": 2, "3": 1}
     assert data["ratio"] == {"num": "1", "den": "1"}
+    # a size from the file is bounded like a rational option, but it is a
+    # domain error there
+    path.write_text('["1/2", "1e-300000"]')
+    assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
+    assert "has more than 4300 digits" in capsys.readouterr().err
 
 
 def test_simulate_shuffle_is_seeded(capsys):

@@ -126,3 +126,5 @@ def test_instance_validation_and_json():
     assert text == '["1/2", "1/3", "1"]'
     with pytest.raises(ValueError):
         KnapsackInstance.from_json("{}")
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        KnapsackInstance.from_json('["1e-300000"]')

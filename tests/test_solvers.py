@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import cost, score, solve_brute
+from harmonic_knapsack.ip_model import MAX_VECTOR_K, cost, score, solve_brute
 from harmonic_knapsack.solvers import (
     closed_form_pieces,
     compute_m,
@@ -135,6 +135,10 @@ def test_greedy_preconditions():
         greedy_solution(HarmonicParams(1, F(1)))
     with pytest.raises(ValueError):
         greedy_solution(HarmonicParams(5, F(2)))
+    counts, _ = greedy_solution(HarmonicParams(MAX_VECTOR_K, F(3, 2)))
+    assert len(counts) == MAX_VECTOR_K - 1
+    with pytest.raises(ValueError, match="count vector"):
+        greedy_solution(HarmonicParams(MAX_VECTOR_K + 1, F(3, 2)))
 
 
 def test_greedy_picks_sequence_prefix():
