@@ -1,7 +1,7 @@
-"""Slope families, witness instances, monotone sweeps, and the limit bracket.
+"""Slope families, witness instances, and the limit bracket.
 
-The three named slope families pin mu to k. Sweeping any of them produces a
-non-increasing sequence of optima, and under the lee family the optima and
+The three named slope families pin mu to k. Along any of them the optima
+form a non-increasing sequence in k, and under the lee family the optima and
 the reciprocal prefix sums squeeze the same limit from both sides, which
 tinf_bracket exploits: lower bound S_t, upper bound the closed-form optimum
 at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
@@ -17,71 +17,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Union
 
 from .harmonic import HarmonicParams, KnapsackInstance, classify
-from .ip_model import IpSolution, cost, is_feasible, zero_counts
-from .solvers import greedy_solution, solve, solve_closed_form
+from .ip_model import IpSolution, cost, is_feasible
+from .solvers import greedy_solution, solve_closed_form
 from .sylvester import sylvester_rows
 
 __all__ = [
     "FAMILIES",
-    "MuFamily",
-    "SweepRow",
     "LimitBracket",
     "mu_for",
     "witness_counts",
     "build_witness",
-    "monotonic_sweep",
     "tinf_bracket",
 ]
 
 
-@dataclass(frozen=True)
-class MuFamily:
-    """A named rule assigning the slope mu to each k at or above min_k."""
-
-    name: str
-    min_k: int
-    mu_of: Callable[[int], Fraction]
-
-
+# name -> (min_k, rule): the slope mu the family assigns to each k >= min_k
 FAMILIES = {
-    "lee": MuFamily("lee", 2, lambda k: Fraction(k, k - 1)),
-    "caprara": MuFamily("caprara", 3, lambda k: Fraction(k, k - 2)),
-    "refined": MuFamily("refined", 3, lambda k: Fraction(k * (k - 2), k * k - 3 * k + 1)),
+    "lee": (2, lambda k: Fraction(k, k - 1)),
+    "caprara": (3, lambda k: Fraction(k, k - 2)),
+    "refined": (3, lambda k: Fraction(k * (k - 2), k * k - 3 * k + 1)),
 }
 
 
-def _family(family: Union[str, MuFamily]) -> MuFamily:
-    if isinstance(family, MuFamily):
-        return family
+def mu_for(name: str, k: int) -> Fraction:
+    """Slope of the named family at k, exact."""
     try:
-        return FAMILIES[family]
+        min_k, rule = FAMILIES[name]
     except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}") from None
-
-
-def mu_for(family: Union[str, MuFamily], k: int) -> Fraction:
-    """Slope of the family at k, exact."""
-    fam = _family(family)
-    if k < fam.min_k:
-        raise ValueError(f"family {fam.name} needs k >= {fam.min_k}, got {k}")
-    return fam.mu_of(k)
+        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}") from None
+    if k < min_k:
+        raise ValueError(f"family {name} needs k >= {min_k}, got {k}")
+    return rule(k)
 
 
 def witness_counts(params: HarmonicParams, eps) -> tuple[IpSolution, Fraction]:
     """Count vector a witness for (k, mu) is built from, and eps clamped to it.
 
-    The vector is the greedy one when k >= 2 and mu < 2, and all zeros
-    otherwise (k = 1 has no classes; for mu >= 2 every class coefficient is
-    non-positive). eps is lowered to 1/cost - 1 when it exceeds that, so the
-    pair is always accepted by build_witness on the cost side.
+    The vector is the greedy one, all zeros where m = 0 (k = 1 or mu >= 2).
+    eps is lowered to 1/cost - 1 when it exceeds that, so the pair is always
+    accepted by build_witness on the cost side.
     """
-    if params.k >= 2 and params.mu < 2:
-        counts, _ = greedy_solution(params)
-    else:
-        counts = tuple(zero_counts(params))
+    counts, _ = greedy_solution(params)
     eps = Fraction(eps)
     load = cost(counts, params)
     if load > 0:
@@ -124,28 +102,6 @@ def build_witness(params: HarmonicParams, counts: IpSolution, eps) -> KnapsackIn
     if running < 1:
         items.append(1 - running)
     return KnapsackInstance(tuple(items))
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    k: int
-    mu: Fraction
-    opt: Fraction
-
-
-def monotonic_sweep(family: Union[str, MuFamily], k_min: int, k_max: int) -> list[SweepRow]:
-    """Optimum per k across [k_min, k_max] under one family, sorted by k."""
-    fam = _family(family)
-    if k_min < fam.min_k:
-        raise ValueError(f"family {fam.name} needs k >= {fam.min_k}, got k_min={k_min}")
-    if k_max < k_min:
-        raise ValueError(f"k_max {k_max} below k_min {k_min}")
-    rows = []
-    for k in range(k_min, k_max + 1):
-        mu = fam.mu_of(k)
-        outcome = solve(HarmonicParams(k, mu), method="auto")
-        rows.append(SweepRow(k, mu, outcome.opt))
-    return rows
 
 
 @dataclass(frozen=True)

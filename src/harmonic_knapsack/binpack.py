@@ -21,7 +21,11 @@ from typing import Optional
 from .analysis import build_witness, witness_counts
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 
-__all__ = ["PackedBin", "PackingResult", "harmonic_pack", "adversarial_instance"]
+__all__ = ["MAX_ITEMS", "PackedBin", "PackingResult", "harmonic_pack", "adversarial_instance"]
+
+# Largest instance adversarial_instance builds: building and packing this
+# many items takes a few seconds at most.
+MAX_ITEMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,14 @@ def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> Knapsac
     The bundle comes from witness_counts, so eps is clamped the same way.
     Each bundle sums to exactly 1, so the true packing optimum is at most
     n_bundles. Within a bundle the smallest items (class k) come first; the
-    fixed order keeps runs reproducible.
+    fixed order keeps runs reproducible. More than MAX_ITEMS items in all
+    is refused before the instance is built.
     """
     if n_bundles < 0:
         raise ValueError(f"n_bundles must be >= 0, got {n_bundles}")
     counts, eps = witness_counts(params, eps)
     bundle = build_witness(params, counts, eps)
+    if n_bundles * len(bundle) > MAX_ITEMS:
+        raise ValueError(f"{n_bundles} bundles of {len(bundle)} items exceed {MAX_ITEMS} items")
     ordered = sorted(bundle.items, key=lambda x: classify(params, x), reverse=True)
     return KnapsackInstance(tuple(ordered) * n_bundles)

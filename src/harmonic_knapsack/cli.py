@@ -14,14 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
 
-from .analysis import FAMILIES, build_witness, monotonic_sweep, mu_for, tinf_bracket, witness_counts
+from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket, witness_counts
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import MAX_DIGITS, HarmonicParams, KnapsackInstance, eval_fk, parse_rational
@@ -34,6 +32,8 @@ TABLE_DIGITS = 8
 LIMIT_DIGITS = 15
 # the longest walk whose terms CPython still prints (term 16 has 6671 digits)
 MAX_COUNT = 15
+# a table row costs well under a millisecond at small k; rows are buffered
+MAX_TABLE_ROWS = 1_000
 
 
 def parse_rational_arg(s: str) -> Fraction:
@@ -81,16 +81,6 @@ def _int_up_to(high: int):
     return parse
 
 
-def _brute_cap(parser: argparse.ArgumentParser) -> Optional[int]:
-    raw = os.environ.get("HARMONIC_BRUTE_CAP")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"HARMONIC_BRUTE_CAP must be an integer, got {raw!r}")
-
-
 def _params(args) -> HarmonicParams:
     """(k, mu) from --k and --mu, --family, or simulate's default family."""
     if args.mu is not None:
@@ -123,10 +113,13 @@ def _cmd_eval(args, parser) -> None:
 
 def _cmd_ip_opt(args, parser) -> None:
     params = _params(args)
-    outcome = solve(params, method=args.method, cap=_brute_cap(parser))
+    outcome = solve(params, method=args.method)
     decimal = to_decimal(outcome.opt, args.digits)
     report = outcome.report
+    # m = 0 (k = 1 or mu >= 2) is rendered as undefined: no class is in play
     pieces = closed_form_pieces(params) if (args.explain or args.format == "json") else None
+    if pieces is not None and pieces[0] == 0:
+        pieces = None
     if args.format == "json":
         m, q, r_next, s_next = pieces or (None,) * 4
         _dump_json(
@@ -171,20 +164,24 @@ def _cmd_ip_opt(args, parser) -> None:
 
 
 def _cmd_table(args, parser) -> None:
-    fam = FAMILIES[args.family]
     if args.k_min < 1:
         parser.error("--k-min must be >= 1")
     if args.k_max < args.k_min:
         parser.error("--k-max must be >= --k-min")
+    if args.k_max - args.k_min + 1 > MAX_TABLE_ROWS:
+        parser.error(f"at most {MAX_TABLE_ROWS} rows (--k-max - --k-min + 1)")
     columns = ["k", "mu", "opt", "decimal"]
-    # the family has no slope below min_k; those rows print as dashes
-    first = max(args.k_min, fam.min_k)
-    rows = [(k, None, None, None) for k in range(args.k_min, min(first, args.k_max + 1))]
-    if first <= args.k_max:
-        sweep = monotonic_sweep(fam, first, args.k_max)
-        rows += [(r.k, r.mu, r.opt, to_decimal(r.opt, args.digits)) for r in sweep]
+    min_k, _ = FAMILIES[args.family]
+    rows = []
+    for k in range(args.k_min, args.k_max + 1):
+        if k < min_k:  # the family has no slope there; the row prints as dashes
+            rows.append((k, None, None, None))
+            continue
+        mu = mu_for(args.family, k)
+        opt = solve(HarmonicParams(k, mu)).opt
+        rows.append((k, mu, opt, to_decimal(opt, args.digits)))
     if args.format == "json":
-        _dump_json({"family": fam.name, "rows": [dict(zip(columns, row)) for row in rows]})
+        _dump_json({"family": args.family, "rows": [dict(zip(columns, row)) for row in rows]})
         return
     text_rows = [["--" if cell is None else str(cell) for cell in row] for row in rows]
     if args.format == "csv":

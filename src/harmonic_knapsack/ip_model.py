@@ -23,7 +23,7 @@ from typing import Optional
 from .harmonic import HarmonicParams
 
 __all__ = [
-    "DEFAULT_BRUTE_CAP",
+    "BRUTE_CAP",
     "MAX_VECTOR_K",
     "IpSolution",
     "SolveReport",
@@ -36,9 +36,10 @@ __all__ = [
 
 IpSolution = tuple[int, ...]
 
-# Beyond this the pruned search can still blow up; the closed form covers
-# large k, so raising the cap is an explicit opt-in.
-DEFAULT_BRUTE_CAP = 14
+# Largest k the exhaustive search accepts: k = 14 takes about 0.1 s and each
+# further step multiplies the time by about 2.5. The closed form covers
+# large k.
+BRUTE_CAP = 14
 
 # Largest k for which a count vector (k - 1 entries) is built. At this k the
 # greedy vector is built, scored and printed, and the all-zero witness with
@@ -110,7 +111,7 @@ def _scaled_problem(params: HarmonicParams):
     return d, steps, q * big, gains, p * big
 
 
-def solve_brute(params: HarmonicParams, cap: Optional[int] = None) -> SolveReport:
+def solve_brute(params: HarmonicParams) -> SolveReport:
     """Maximize the score over all feasible count vectors.
 
     Ties break toward the lexicographically smallest vector, which is simply
@@ -119,12 +120,8 @@ def solve_brute(params: HarmonicParams, cap: Optional[int] = None) -> SolveRepor
     assignments examined, including the one per slot that triggers the cost
     cutoff.
     """
-    limit = DEFAULT_BRUTE_CAP if cap is None else cap
-    if params.k > limit:
-        raise ValueError(
-            f"k={params.k} exceeds the exhaustive-search cap {limit}; pass a larger "
-            f"cap (or set HARMONIC_BRUTE_CAP for the CLI) to force the enumeration"
-        )
+    if params.k > BRUTE_CAP:
+        raise ValueError(f"k={params.k} exceeds the exhaustive-search cap {BRUTE_CAP}")
     counts = zero_counts(params)
     d, steps, m_scale, gains, base = _scaled_problem(params)
     k = params.k

@@ -1,15 +1,14 @@
 """Fast paths to the optimal score: closed form, greedy, and a dispatcher.
 
-Two degenerate cases are immediate: with k = 1 there are no classes and the
-optimum is mu, and with mu >= 2 every class coefficient 1/j - mu/(j+1) is
-non-positive, so the all-zero vector wins and the optimum is again mu.
-
-In the remaining band 1 <= mu < 2 (k >= 2) the optimum is reached on a
-prefix of the reciprocal-splitting sequence: let m be the last class whose
-score coefficient is positive and q the last sequence index with term <= m;
-then the optimum equals the reciprocal prefix sum through q+1 plus
-(mu-1)/r_{q+1}. greedy_solution builds that same prefix one increment at a
-time. Both routes are checked against the exhaustive solver in the tests.
+For mu >= 1 the optimum is reached on a prefix of the reciprocal-splitting
+sequence: let m be the last class whose score coefficient is positive (0 if
+none is) and q the last sequence index with term <= m; then the optimum
+equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}.
+greedy_solution builds that same prefix one increment at a time. With k = 1
+(no classes) or mu >= 2 (every coefficient 1/j - mu/(j+1) non-positive) m is
+0, so Q = 0, r_1 = S_1 = 1 and both routes give mu, the score of the
+all-zero vector.
+Both routes are checked against the exhaustive solver in the tests.
 """
 
 from __future__ import annotations
@@ -44,25 +43,21 @@ class SolveOutcome:
 
 
 def compute_m(params: HarmonicParams) -> int:
-    """Largest class index with a strictly positive score coefficient.
+    """Largest class index with a strictly positive score coefficient, or 0.
 
     Equals ceil(1 / max(mu - 1, 1/k)) - 1, evaluated with exact rational
-    arithmetic; only defined for k >= 2 and mu < 2.
+    arithmetic; that is 0 exactly when k = 1 or mu >= 2.
     """
-    if params.k < 2 or params.mu >= 2:
-        raise ValueError(f"m needs k >= 2 and mu < 2, got k={params.k}, mu={params.mu}")
     slack = max(params.mu - 1, Fraction(1, params.k))
     return math.ceil(1 / slack) - 1
 
 
-def closed_form_pieces(params: HarmonicParams) -> Optional[tuple[int, int, int, Fraction]]:
-    """(m, Q, r_{Q+1}, S_{Q+1}) for (k, mu), or None where m is undefined.
+def closed_form_pieces(params: HarmonicParams) -> tuple[int, int, int, Fraction]:
+    """(m, Q, r_{Q+1}, S_{Q+1}) for (k, mu); (0, 0, 1, 1) where m = 0.
 
-    Defined for k >= 2 and mu < 2; below mu = 1 the pieces still exist (m is
-    k-1) even though no closed form is built from them there.
+    Below mu = 1 the pieces still exist (m is k-1) even though no closed
+    form is built from them there.
     """
-    if params.k < 2 or params.mu >= 2:
-        return None
     m = compute_m(params)
     for q, (term, total) in enumerate(sylvester_rows()):
         if term > m:
@@ -75,9 +70,7 @@ def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     Never materializes a count vector, so it works for astronomically large
     k. For k >= 2 with mu < 1 no closed form is claimed; use solve_brute.
     """
-    if params.k == 1 or params.mu >= 2:
-        return SolveOutcome(params.mu, "closed")
-    if params.mu < 1:
+    if params.k >= 2 and params.mu < 1:
         raise ValueError(
             f"no closed form for k >= 2 with mu < 1 (got mu={params.mu}); use solve_brute"
         )
@@ -91,11 +84,10 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     Starting from all zeros, repeatedly bump the count at the smallest class
     index i <= m that keeps the cost strictly below 1. The indices picked
     turn out to be the reciprocal-splitting sequence terms up to m. For
-    1 <= mu < 2 the result is optimal; for mu < 1 it is a heuristic and is
-    validated against the exhaustive solver in the tests only.
+    mu >= 1 the result is optimal (at m = 0 it is the zero vector, scoring
+    mu); for mu < 1 it is a heuristic and is validated against the
+    exhaustive solver in the tests only.
     """
-    if params.k < 2 or params.mu >= 2:
-        raise ValueError(f"greedy needs k >= 2 and mu < 2, got k={params.k}, mu={params.mu}")
     m = compute_m(params)
     counts = zero_counts(params)
     load = Fraction(0)
@@ -111,7 +103,7 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     return picked, score(picked, params)
 
 
-def solve(params: HarmonicParams, method: str = "auto", cap: Optional[int] = None) -> SolveOutcome:
+def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
     """Dispatch to a solver.
 
     auto prefers the closed form and falls back to exhaustive search only in
@@ -120,7 +112,7 @@ def solve(params: HarmonicParams, method: str = "auto", cap: Optional[int] = Non
     if method == "auto":
         method = "brute" if (params.k >= 2 and params.mu < 1) else "closed"
     if method == "brute":
-        report = solve_brute(params, cap=cap)
+        report = solve_brute(params)
         return SolveOutcome(report.opt, "brute", counts=report.argmax, report=report)
     if method == "closed":
         return solve_closed_form(params)

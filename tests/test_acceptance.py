@@ -92,7 +92,7 @@ def test_criterion_5_family_monotonicity_to_50():
     start = time.perf_counter()
     ok = True
     for family in FAMILIES:
-        lo = FAMILIES[family].min_k
+        lo, _ = FAMILIES[family]
         values = [
             solve(HarmonicParams(k, mu_for(family, k)), method="auto").opt
             for k in range(lo, 51)

@@ -6,7 +6,6 @@ import pytest
 from harmonic_knapsack.analysis import (
     FAMILIES,
     build_witness,
-    monotonic_sweep,
     mu_for,
     tinf_bracket,
     witness_counts,
@@ -39,8 +38,8 @@ def test_mu_for_range_checks():
 
 
 def test_family_slopes_stay_in_domain():
-    for name, fam in FAMILIES.items():
-        for k in range(fam.min_k, 40):
+    for name, (min_k, _) in FAMILIES.items():
+        for k in range(min_k, 40):
             mu = mu_for(name, k)
             assert 0 < mu <= k, (name, k)
 
@@ -61,9 +60,8 @@ def test_witness_zero_vector_gives_uniform_instance():
 
 
 def test_witness_items_stay_in_their_classes():
-    for name in FAMILIES:
-        fam = FAMILIES[name]
-        for k in range(max(2, fam.min_k), 11):
+    for name, (min_k, _) in FAMILIES.items():
+        for k in range(max(2, min_k), 11):
             params = HarmonicParams(k, mu_for(name, k))
             counts, eps = witness_counts(params, F(1, 100))
             inst = build_witness(params, counts, eps)
@@ -121,38 +119,30 @@ def test_witness_validation():
         build_witness(params, (0, 1), F(1))  # (1+1)/3 jumps to class 1
 
 
-def non_increasing(rows):
-    return all(a.opt >= b.opt for a, b in zip(rows, rows[1:]))
+def sweep(family, k_min, k_max):
+    """Optimum per k in [k_min, k_max] under one family."""
+    return [solve(HarmonicParams(k, mu_for(family, k))).opt for k in range(k_min, k_max + 1)]
+
+
+def non_increasing(opts):
+    return all(a >= b for a, b in zip(opts, opts[1:]))
 
 
 def test_sweep_reference_rows():
-    rows = monotonic_sweep("lee", 2, 5)
-    assert [(r.k, r.mu, r.opt) for r in rows] == [
-        (2, F(2), F(2)),
-        (3, F(3, 2), F(7, 4)),
-        (4, F(4, 3), F(31, 18)),
-        (5, F(5, 4), F(41, 24)),
-    ]
-    assert non_increasing(rows)
-    rows = monotonic_sweep("caprara", 3, 6)
-    assert [r.opt for r in rows] == [F(3), F(2), F(11, 6), F(7, 4)]
-    rows = monotonic_sweep("refined", 3, 4)
-    assert [r.opt for r in rows] == [F(3), F(9, 5)]
+    assert [mu_for("lee", k) for k in range(2, 6)] == [F(2), F(3, 2), F(4, 3), F(5, 4)]
+    opts = sweep("lee", 2, 5)
+    assert opts == [F(2), F(7, 4), F(31, 18), F(41, 24)]
+    assert non_increasing(opts)
+    assert sweep("caprara", 3, 6) == [F(3), F(2), F(11, 6), F(7, 4)]
+    assert sweep("refined", 3, 4) == [F(3), F(9, 5)]
 
 
 def test_sweep_matches_reference_table():
     for family, cells in TABLE_OPT.items():
         lo, hi = min(cells), max(cells)
-        rows = monotonic_sweep(family, lo, hi)
-        assert {r.k: r.opt for r in rows} == cells
-        assert non_increasing(rows)
-
-
-def test_sweep_range_validation():
-    with pytest.raises(ValueError):
-        monotonic_sweep("caprara", 2, 5)
-    with pytest.raises(ValueError):
-        monotonic_sweep("lee", 4, 3)
+        opts = sweep(family, lo, hi)
+        assert dict(zip(range(lo, hi + 1), opts)) == cells
+        assert non_increasing(opts)
 
 
 def test_optimum_grows_with_slope_at_fixed_k():

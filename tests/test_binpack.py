@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
+from harmonic_knapsack.binpack import MAX_ITEMS, adversarial_instance, harmonic_pack
 from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify
 from harmonic_knapsack.solvers import solve_closed_form
 
@@ -119,3 +119,10 @@ def test_adversarial_validation():
     with pytest.raises(ValueError):
         adversarial_instance(HarmonicParams(4, F(4, 3)), -1, F(1, 100))
     assert len(adversarial_instance(HarmonicParams(4, F(4, 3)), 0, F(1, 100))) == 0
+    # the item bound is checked before the instance is built
+    params = HarmonicParams(4, F(4, 3))
+    n = MAX_ITEMS // len(adversarial_instance(params, 1, F(1, 100)))
+    assert len(adversarial_instance(params, n, F(1, 100))) <= MAX_ITEMS
+    for bundles in (n + 1, 10**30):
+        with pytest.raises(ValueError, match=f"exceed {MAX_ITEMS} items"):
+            adversarial_instance(params, bundles, F(1, 100))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonic_knapsack.harmonic import KnapsackInstance
 from harmonic_knapsack.cli import parse_rational_arg, run
@@ -58,6 +62,9 @@ def test_eval_domain_error(capsys):
         assert "error: k=10000000000" in capsys.readouterr().err
     assert run(["ip-opt", "--k", huge, "--mu", "3/2"]) == 0
     assert "method = closed" in capsys.readouterr().out
+    # 10**30 bundles of 3 items are refused before the instance is built
+    assert run(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", huge]) == 1
+    assert "exceed 100000 items" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):
@@ -95,6 +102,17 @@ def test_usage_errors(capsys):
         assert message in capsys.readouterr().err
     assert run(["limit", "--terms", "12", "--digits", "4300"]) == 0
     capsys.readouterr()
+    # a table has k >= 1 and between 1 and 1000 rows, refused before any work
+    for argv, message in (
+        (["--k-min", "0", "--k-max", "3"], "--k-min must be >= 1"),
+        (["--k-min", "4", "--k-max", "3"], "--k-max must be >= --k-min"),
+        (["--k-min", "1", "--k-max", "1001"], "at most 1000 rows"),
+        (["--k-min", "2", "--k-max", str(10**8)], "at most 1000 rows"),
+    ):
+        assert run(["table", "--family", "lee", *argv]) == 2
+        assert message in capsys.readouterr().err
+    assert run(["table", "--family", "lee", "--k-min", "1", "--k-max", "1000", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1001
 
 
 def test_help_exits_zero(capsys):
@@ -150,20 +168,9 @@ def test_ip_opt_greedy(capsys):
     assert "argmax = (1, 1, 0, 0, 0, 0)" in out
 
 
-def test_brute_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("HARMONIC_BRUTE_CAP", "3")
-    assert run(["ip-opt", "--k", "5", "--mu", "1/2", "--method", "brute"]) == 1
-    assert "cap" in capsys.readouterr().err
-    monkeypatch.setenv("HARMONIC_BRUTE_CAP", "16")
-    assert run(["ip-opt", "--k", "15", "--mu", "15/14", "--method", "brute"]) == 0
-    assert "opt = 995/588" in capsys.readouterr().out
-    # a raised cap still stops at the bound on an explicit count vector
-    monkeypatch.setenv("HARMONIC_BRUTE_CAP", str(10**40))
-    assert run(["ip-opt", "--k", str(10**30), "--mu", "1/2", "--method", "brute"]) == 1
-    assert "count vector" in capsys.readouterr().err
-    monkeypatch.setenv("HARMONIC_BRUTE_CAP", "abc")
-    assert run(["ip-opt", "--k", "5", "--mu", "1/2"]) == 2
-    assert "HARMONIC_BRUTE_CAP must be an integer" in capsys.readouterr().err
+def test_brute_cap_env(capsys):
+    assert run(["ip-opt", "--k", "15", "--mu", "15/14", "--method", "brute"]) == 1
+    assert "exhaustive-search cap 14" in capsys.readouterr().err
 
 
 def test_table_matches_reference(capsys):
@@ -318,3 +325,48 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("1/3")
+
+
+# Option values for the fuzz test: edge cases, huge and malformed input. The
+# pools keep every call short: no table range reaches past k = 12.
+INTS = ["0", "-1", "1", "3", "12", str(10**30)]
+RATIONALS = ["0", "-1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301, "1/" + "3" * 4301]
+EPS = ["1/100", "3", "1e-300000"]
+SLOPES = [[], ["--mu", "1/2"], ["--mu", "3"], ["--mu", "7" * 4301], ["--family", "lee"], ["--family", "caprara"]]
+COMMANDS = {
+    "eval": lambda pick: ["--k", pick(INTS), *pick(SLOPES), "--x", pick(RATIONALS), "--digits", pick(INTS)],
+    "ip-opt": lambda pick: [
+        "--k", pick(INTS), *pick(SLOPES), "--method", pick(["auto", "brute", "closed", "greedy"]),
+        *pick([[], ["--explain"]]), "--format", pick(["text", "csv", "json"]),
+    ],
+    "table": lambda pick: [
+        "--family", pick(["lee", "caprara", "refined"]),
+        "--k-min", pick(["-1", "0", "1", "3"]), "--k-max", pick(["0", "2", "12"]),
+    ],
+    "sylvester": lambda pick: ["--count", pick(INTS)],
+    "limit": lambda pick: ["--terms", pick(INTS), "--digits", pick(INTS)],
+    "witness": lambda pick: ["--k", pick(INTS), *pick(SLOPES), "--eps", pick(EPS)],
+    "simulate": lambda pick: [
+        "--k", pick(INTS), *pick(SLOPES), "--adversarial", pick(["-1", "3", str(10**30)]),
+        "--eps", pick(EPS),
+    ],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    return [command, *COMMANDS[command](lambda pool: draw(st.sampled_from(pool)))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cli_argv())
+@example(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", str(10**30)])
+def test_cli_fuzz_exits_cleanly_and_quickly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 2.0

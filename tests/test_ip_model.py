@@ -161,6 +161,3 @@ def test_cap_enforced():
         solve_brute(HarmonicParams(15, F(3, 2)))
     with pytest.raises(ValueError, match="cap"):
         solve_brute(HarmonicParams(20, F(1)))
-    # explicit override allows it; 995/588 = 71/42 + (1/14)/42 by hand
-    rep = solve_brute(HarmonicParams(15, F(15, 14)), cap=15)
-    assert rep.opt == F(995, 588)

@@ -43,10 +43,12 @@ def test_compute_m_matches_scan():
 
 
 def test_compute_m_preconditions():
-    with pytest.raises(ValueError):
-        compute_m(HarmonicParams(1, F(1)))
-    with pytest.raises(ValueError):
-        compute_m(HarmonicParams(4, F(2)))
+    # k = 1 has no classes and mu >= 2 no positive coefficient: m = 0
+    assert compute_m(HarmonicParams(1, F(1))) == 0
+    assert compute_m(HarmonicParams(1, F(0))) == 0
+    assert compute_m(HarmonicParams(4, F(2))) == 0
+    assert compute_m(HarmonicParams(10**30, F(3))) == 0
+    assert compute_m(HarmonicParams(4, F(199, 100))) == 1
 
 
 def test_coefficient_characterization():
@@ -68,11 +70,11 @@ def test_closed_form_examples():
     params = HarmonicParams(10, F(80, 71))
     assert closed_form_pieces(params)[:2] == (7, 3)
     assert solve_closed_form(params).opt == F(2525, 1491)
-    # mu >= 2 and k = 1 have no pieces; the optimum is mu itself
+    # mu >= 2 and k = 1 have m = 0, so S_1 + (mu - 1)/r_1 is mu itself
     params = HarmonicParams(3, F(3))
-    assert (closed_form_pieces(params), solve_closed_form(params).opt) == (None, F(3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, 0, 1, 1), F(3))
     params = HarmonicParams(1, F(2, 3))
-    assert (closed_form_pieces(params), solve_closed_form(params).opt) == (None, F(2, 3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, 0, 1, 1), F(2, 3))
 
 
 def test_closed_form_rejects_small_mu():
@@ -92,8 +94,8 @@ def test_closed_form_pieces():
     # mu < 1 still has pieces (m = k-1), printed by ip-opt --explain
     assert closed_form_pieces(HarmonicParams(5, F(1, 2))) == (4, 2, 6, F(5, 3))
     assert closed_form_pieces(HarmonicParams(10, F(80, 71))) == (7, 3, 42, F(71, 42))
-    assert closed_form_pieces(HarmonicParams(1, F(1))) is None
-    assert closed_form_pieces(HarmonicParams(4, F(2))) is None
+    assert closed_form_pieces(HarmonicParams(1, F(1))) == (0, 0, 1, 1)
+    assert closed_form_pieces(HarmonicParams(4, F(2))) == (0, 0, 1, 1)
     for k in range(2, 12):
         for mu in [F(1), F(11, 10), F(4, 3), F(7, 4)]:
             params = HarmonicParams(k, mu)
@@ -131,10 +133,11 @@ def test_greedy_examples():
 
 
 def test_greedy_preconditions():
-    with pytest.raises(ValueError):
-        greedy_solution(HarmonicParams(1, F(1)))
-    with pytest.raises(ValueError):
-        greedy_solution(HarmonicParams(5, F(2)))
+    # at m = 0 the loop stops at once on the zero vector, which scores mu
+    assert greedy_solution(HarmonicParams(1, F(1))) == ((), F(1))
+    assert greedy_solution(HarmonicParams(1, F(1, 3))) == ((), F(1, 3))
+    assert greedy_solution(HarmonicParams(5, F(2))) == ((0, 0, 0, 0), F(2))
+    assert greedy_solution(HarmonicParams(5, F(9, 2))) == ((0, 0, 0, 0), F(9, 2))
     counts, _ = greedy_solution(HarmonicParams(MAX_VECTOR_K, F(3, 2)))
     assert len(counts) == MAX_VECTOR_K - 1
     with pytest.raises(ValueError, match="count vector"):
@@ -189,6 +192,15 @@ def test_three_routes_agree_on_sample_grid():
             closed = solve_closed_form(params).opt
             greedy = greedy_solution(params)[1]
             assert brute == closed == greedy, (k, mu)
+    # m = 0: k = 1 has no classes, mu >= 2 no positive coefficient
+    edge = [(1, mu) for mu in (F(0), F(1, 2), F(1))]
+    edge += [(k, mu) for k in range(2, 9) for mu in (F(2), F(5, 2), F(3)) if mu <= k]
+    for k, mu in edge:
+        params = HarmonicParams(k, mu)
+        brute = solve_brute(params).opt
+        closed = solve_closed_form(params).opt
+        greedy = greedy_solution(params)[1]
+        assert brute == closed == greedy == mu, (k, mu)
 
 
 def test_greedy_below_one_is_heuristic():
