@@ -6,6 +6,12 @@ before a fresh bin is opened (class-j items measure at most 1/j, so j of
 them always fit). Class-k items are packed next-fit: one open bin, closed
 the first time an item does not fit. All arithmetic is exact.
 
+The packer keeps counters only; bins and their contents are not kept. It
+counts the items in each open class-j bin and the bins opened per class,
+and keeps the exact load of the open class-k bin and, for the total size,
+numerator sums per denominator. Its memory is O(k + distinct denominators)
+whatever the number of items.
+
 adversarial_instance replays many copies of a witness bundle whose total
 size is exactly 1, so the packer's bins-per-bundle ratio approaches the
 knapsack optimum for the chosen (k, mu).
@@ -16,27 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .analysis import build_witness, witness_counts
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 
-__all__ = ["MAX_ITEMS", "PackedBin", "PackingResult", "harmonic_pack", "adversarial_instance"]
+__all__ = ["MAX_ITEMS", "PackingResult", "harmonic_pack", "adversarial_instance"]
 
 # Largest instance adversarial_instance builds: building and packing this
 # many items takes a few seconds at most.
 MAX_ITEMS = 100_000
-
-
-@dataclass(frozen=True)
-class PackedBin:
-    """One bin: the class it serves and its items in packing order."""
-
-    size_class: int
-    items: tuple[Fraction, ...]
-
-    def load(self) -> Fraction:
-        return sum(self.items, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -45,59 +40,47 @@ class PackingResult:
     per_class_bins: dict[int, int]
     opt_lower_bound: int
     ratio: Optional[Fraction]
-    bins: tuple[PackedBin, ...]
 
 
-def harmonic_pack(params: HarmonicParams, items: KnapsackInstance) -> PackingResult:
+def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingResult:
     """Pack items online by size class; deterministic in the arrival order.
 
-    opt_lower_bound is max(ceil(total size), number of items above 1/2);
-    both quantities are valid lower bounds on any packing. ratio is
-    bins_used over that bound, or None for the empty instance.
+    items may be any iterable of Fractions, read once. opt_lower_bound is
+    max(ceil(total size), number of items above 1/2); both quantities are
+    valid lower bounds on any packing. ratio is bins_used over that bound,
+    or None for the empty instance.
     """
     k = params.k
-    bins: list[tuple[int, list[Fraction]]] = []
-    open_slot: dict[int, int] = {}  # class j < k -> index of its unfilled bin
-    small_slot: Optional[int] = None
-    small_load = Fraction(0)
-    total = Fraction(0)
-    half = Fraction(1, 2)
+    per_class: dict[int, int] = {}
+    filled: dict[int, int] = {}  # class j < k -> items in its open bin
+    small_load = 1  # load of the open class-k bin; "full" until the first opens
+    numerators: dict[int, int] = {}  # denominator -> sum of numerators over it
     big_items = 0
     for x in items:
-        if not 0 < x <= 1:
+        n, d = x.numerator, x.denominator
+        if not 0 < n <= d:
             raise ValueError(f"item size {x} outside (0, 1]")
-        total += x
-        if x > half:
+        numerators[d] = numerators.get(d, 0) + n
+        if 2 * n > d:
             big_items += 1
-        j = classify(params, x)
-        if j == k:
-            if small_slot is None or small_load + x > 1:
-                bins.append((k, []))
-                small_slot = len(bins) - 1
-                small_load = Fraction(0)
-            bins[small_slot][1].append(x)
+        if n * k <= d:  # class k, next-fit
             small_load += x
-        else:
-            slot = open_slot.get(j)
-            if slot is None:
-                bins.append((j, []))
-                slot = len(bins) - 1
-                open_slot[j] = slot
-            bins[slot][1].append(x)
-            if len(bins[slot][1]) == j:
-                del open_slot[j]
-    per_class: dict[int, int] = {}
-    for cls, _ in bins:
-        per_class[cls] = per_class.get(cls, 0) + 1
+            if small_load > 1:
+                per_class[k] = per_class.get(k, 0) + 1
+                small_load = x
+            continue
+        # x in (1/k, 1]: floor(1/x) is the class, as in harmonic.classify
+        j = d // n
+        count = filled.get(j, 0)
+        if count == 0:
+            per_class[j] = per_class.get(j, 0) + 1
+        filled[j] = 0 if count + 1 == j else count + 1
+    scale = math.lcm(*numerators)
+    total = Fraction(sum(n * (scale // d) for d, n in numerators.items()), scale)
+    bins_used = sum(per_class.values())
     lower = max(math.ceil(total), big_items)
-    ratio = Fraction(len(bins), lower) if lower > 0 else None
-    return PackingResult(
-        bins_used=len(bins),
-        per_class_bins=per_class,
-        opt_lower_bound=lower,
-        ratio=ratio,
-        bins=tuple(PackedBin(cls, tuple(content)) for cls, content in bins),
-    )
+    ratio = Fraction(bins_used, lower) if lower > 0 else None
+    return PackingResult(bins_used, per_class, lower, ratio)
 
 
 def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> KnapsackInstance:

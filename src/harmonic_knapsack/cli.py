@@ -34,6 +34,9 @@ LIMIT_DIGITS = 15
 MAX_COUNT = 15
 # a table row costs well under a millisecond at small k; rows are buffered
 MAX_TABLE_ROWS = 1_000
+# CPython prints at most 4300 digits. Every family's optimum at the largest k
+# of up to 1316 digits still prints (its denominator grows with k).
+MAX_K_DIGITS = 1_300
 
 
 def parse_rational_arg(s: str) -> Fraction:
@@ -62,6 +65,17 @@ def _dump_csv(header, rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _k_arg(s: str) -> int:
+    """argparse type for --k, --k-min and --k-max: an integer of at most MAX_K_DIGITS digits."""
+    try:
+        value = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+    if len(str(abs(value))) > MAX_K_DIGITS:
+        raise argparse.ArgumentTypeError(f"must have at most {MAX_K_DIGITS} digits")
+    return value
 
 
 def _int_up_to(high: int):
@@ -273,7 +287,7 @@ def _add_format(sub, default_digits: int) -> None:
 
 def _add_params(sub, required: bool = True) -> None:
     """--k and exactly one of --mu or --family (at most one if not required)."""
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=_k_arg, required=True)
     slope = sub.add_mutually_exclusive_group(required=required)
     slope.add_argument("--mu", type=parse_rational_arg)
     slope.add_argument("--family", choices=sorted(FAMILIES))
@@ -311,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="optimum per k under a slope family")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--k-min", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-min", type=_k_arg, required=True)
+    p.add_argument("--k-max", type=_k_arg, required=True)
     _add_format(p, TABLE_DIGITS)
     p.set_defaults(handler=_cmd_table)
 

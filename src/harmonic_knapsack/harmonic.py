@@ -75,9 +75,9 @@ class KnapsackInstance:
     items: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(Fraction(x) for x in self.items)
+        sizes = tuple(x if type(x) is Fraction else Fraction(x) for x in self.items)
         for x in sizes:
-            if not 0 <= x <= 1:
+            if not 0 <= x.numerator <= x.denominator:
                 raise ValueError(f"item size {x} outside [0, 1]")
         object.__setattr__(self, "items", sizes)
 
@@ -109,13 +109,14 @@ def classify(params: HarmonicParams, x) -> int:
     lands in class j; everything at or below 1/k lands in class k.
     """
     x = Fraction(x)
-    if not 0 <= x <= 1:
+    n, d = x.numerator, x.denominator
+    if not 0 <= n <= d:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x * params.k <= 1:
+    if n * params.k <= d:
         return params.k
     # x in (1/k, 1]: floor(1/x) is the class index, hitting j exactly on the
     # closed right boundary x = 1/j.
-    return x.denominator // x.numerator
+    return d // n
 
 
 def eval_fk(params: HarmonicParams, x) -> Fraction:

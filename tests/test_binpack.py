@@ -1,8 +1,13 @@
+import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_knapsack.binpack import MAX_ITEMS, adversarial_instance, harmonic_pack
 from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify
@@ -15,14 +20,48 @@ def random_instance(rng, n_items, denom=1200):
     return KnapsackInstance(tuple(F(rng.randint(1, denom), denom) for _ in range(n_items)))
 
 
+def reference_bins(params, items):
+    """The packing rule on Fractions, keeping every bin as [class, items]."""
+    k = params.k
+    bins = []
+    open_bin = {}  # class -> its unfilled bin
+    for x in items:
+        j = classify(params, x)
+        b = open_bin.get(j)
+        if b is None or (j == k and sum(b[1]) + x > 1):
+            b = open_bin[j] = [j, []]
+            bins.append(b)
+        b[1].append(x)
+        if j < k and len(b[1]) == j:
+            del open_bin[j]
+    return bins
+
+
+def check_against_reference(params, items):
+    """Assert the reference bins are a valid packing and harmonic_pack reports them."""
+    bins = reference_bins(params, items)
+    assert Counter(x for _, content in bins for x in content) == Counter(items)
+    for j, content in bins:
+        assert sum(content) <= 1
+        assert all(classify(params, x) == j for x in content)
+        if j < params.k:
+            assert len(content) <= j
+    lower = max(math.ceil(sum(items, F(0))), sum(1 for x in items if x > F(1, 2)))
+    res = harmonic_pack(params, items)
+    assert res.bins_used == len(bins)
+    assert res.per_class_bins == Counter(j for j, _ in bins)
+    assert res.opt_lower_bound == lower
+    assert res.ratio == (F(len(bins), lower) if lower else None)
+    return bins, res
+
+
 def test_hand_simulated_three_classes():
     params = HarmonicParams(3, F(3, 2))
-    inst = KnapsackInstance((F(3, 5), F(3, 5), F(3, 10), F(3, 10), F(3, 10)))
-    res = harmonic_pack(params, inst)
+    items = (F(3, 5), F(3, 5), F(3, 10), F(3, 10), F(3, 10))
+    bins, res = check_against_reference(params, items)
     assert res.bins_used == 3
     assert res.per_class_bins == {1: 2, 3: 1}
-    small = [b for b in res.bins if b.size_class == 3]
-    assert len(small) == 1 and small[0].load() == F(9, 10)
+    assert [sum(content) for j, content in bins if j == 3] == [F(9, 10)]
     assert res.opt_lower_bound == 3  # ceil(21/10) = 3 beats the two big items
     assert res.ratio == 1
 
@@ -37,10 +76,10 @@ def test_empty_instance():
 def test_next_fit_exact_fill():
     # ten items of 1/5 in class 4: five fill a bin to exactly 1 before closing
     params = HarmonicParams(4, F(4, 3))
-    res = harmonic_pack(params, KnapsackInstance((F(1, 5),) * 10))
+    bins, res = check_against_reference(params, (F(1, 5),) * 10)
     assert res.bins_used == 2
     assert res.per_class_bins == {4: 2}
-    assert all(b.load() == 1 for b in res.bins)
+    assert all(sum(content) == 1 for _, content in bins)
 
 
 def test_rejects_nonpositive_and_oversize():
@@ -57,17 +96,52 @@ def test_packing_is_valid_on_random_instances():
         params = HarmonicParams(k, F(k, k - 1))
         for _ in range(10):
             inst = random_instance(rng, rng.randint(0, 120))
-            res = harmonic_pack(params, inst)
-            assert sum(len(b.items) for b in res.bins) == len(inst)
-            assert Counter(x for b in res.bins for x in b.items) == Counter(inst.items)
-            for b in res.bins:
-                assert b.load() <= 1
-                if b.size_class < k:
-                    assert len(b.items) <= b.size_class
-                for x in b.items:
-                    assert classify(params, x) == b.size_class
+            _, res = check_against_reference(params, inst.items)
             assert res.bins_used == sum(res.per_class_bins.values())
             assert res.bins_used >= res.opt_lower_bound
+
+
+@st.composite
+def packing_case(draw):
+    """k and sizes mixing random fractions with the class boundaries 1/j, 1/2 and 1."""
+    k = draw(st.integers(1, 13))
+    boundaries = [F(1, j) for j in range(1, k + 2)] + [F(1, 2), F(1)]
+    fraction = st.integers(1, 1000).flatmap(lambda den: st.integers(1, den).map(lambda num: F(num, den)))
+    sizes = draw(st.lists(st.one_of(st.sampled_from(boundaries), fraction), max_size=60))
+    return HarmonicParams(k, F(1)), tuple(sizes)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(packing_case())
+def test_packer_matches_reference(case):
+    check_against_reference(*case)
+
+
+def test_classify_agrees_with_packer_at_class_boundaries():
+    tiny = F(1, 10**9)
+    for k in (1, 2, 3, 12, 44):
+        params = HarmonicParams(k, F(1))
+        for j in range(1, k + 2):
+            for x in (F(1, j) - tiny, F(1, j), F(1, j) + tiny):
+                if 0 < x <= 1:
+                    assert harmonic_pack(params, [x]).per_class_bins == {classify(params, x): 1}
+
+
+def test_memory_does_not_grow_with_item_count():
+    # a generator of cycled sizes over classes 1, 2, 3 and k = 4: the packer
+    # keeps counters, so 100,000 items peak no higher than 10,000
+    params = HarmonicParams(4, F(4, 3))
+    sizes = (F(3, 5), F(2, 5), F(1, 3), F(1, 5), F(1, 7))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            harmonic_pack(params, islice(cycle(sizes), n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100_000) <= peak(10_000) + 2048
 
 
 def test_deterministic():

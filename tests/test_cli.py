@@ -113,6 +113,22 @@ def test_usage_errors(capsys):
         assert message in capsys.readouterr().err
     assert run(["table", "--family", "lee", "--k-min", "1", "--k-max", "1000", "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1001
+    # every family's optimum still prints at the largest k of 1300 digits;
+    # a longer k is refused before any work
+    largest, too_long = str(10**1300 - 1), str(10**1300)
+    for family in ("lee", "caprara", "refined"):
+        assert run(["ip-opt", "--k", largest, "--family", family, "--explain", "--format", "json"]) == 0
+        assert run(["table", "--family", family, "--k-min", str(10**1300 - 3), "--k-max", largest]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["ip-opt", "--k", too_long, "--family", "lee"],
+        ["eval", "--k", "-" + too_long, "--mu", "1", "--x", "1/2"],
+        ["table", "--family", "lee", "--k-min", too_long, "--k-max", too_long],
+        ["table", "--family", "lee", "--k-min", "1", "--k-max", too_long],
+        ["simulate", "--k", too_long, "--adversarial", "1"],
+    ):
+        assert run(argv) == 2
+        assert "must have at most 1300 digits" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -328,8 +344,9 @@ def test_module_entry_point():
 
 
 # Option values for the fuzz test: edge cases, huge and malformed input. The
-# pools keep every call short: no table range reaches past k = 12.
-INTS = ["0", "-1", "1", "3", "12", str(10**30)]
+# pools keep every call short: no table range reaches past k = 12 except
+# through a 2501-digit bound, which is refused.
+INTS = ["0", "-1", "1", "3", "12", str(10**30), str(10**2500)]
 RATIONALS = ["0", "-1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301, "1/" + "3" * 4301]
 EPS = ["1/100", "3", "1e-300000"]
 SLOPES = [[], ["--mu", "1/2"], ["--mu", "3"], ["--mu", "7" * 4301], ["--family", "lee"], ["--family", "caprara"]]
@@ -341,7 +358,7 @@ COMMANDS = {
     ],
     "table": lambda pick: [
         "--family", pick(["lee", "caprara", "refined"]),
-        "--k-min", pick(["-1", "0", "1", "3"]), "--k-max", pick(["0", "2", "12"]),
+        "--k-min", pick(["-1", "0", "1", "3", str(10**2500)]), "--k-max", pick(["0", "2", "12", str(10**2500)]),
     ],
     "sylvester": lambda pick: ["--count", pick(INTS)],
     "limit": lambda pick: ["--terms", pick(INTS), "--digits", pick(INTS)],
