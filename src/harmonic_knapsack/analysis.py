@@ -14,9 +14,9 @@ witness_counts is the one place that picks that vector for (k, mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 from .ip_model import IpSolution, cost, is_feasible
@@ -104,8 +104,7 @@ def build_witness(params: HarmonicParams, counts: IpSolution, eps) -> KnapsackIn
     return KnapsackInstance(tuple(items))
 
 
-@dataclass(frozen=True)
-class LimitBracket:
+class LimitBracket(NamedTuple):
     """Two-sided exact bracket on the common limit of the family optima."""
 
     t: int
@@ -125,7 +124,7 @@ def tinf_bracket(t: int) -> LimitBracket:
     the shortcut identity is re-proved on every call.
     """
     if not 2 <= t <= 12:
-        raise ValueError(f"t must be in [2, 12], got {t}")
+        raise ValueError("t must be in [2, 12]")
     (r_prev, _), (r_t, lower) = islice(sylvester_rows(), t - 2, t)
     k = r_prev + 2
     upper = solve_closed_form(HarmonicParams(k, Fraction(k, k - 1))).opt

@@ -20,9 +20,8 @@ knapsack optimum for the chosen (k, mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .analysis import build_witness, witness_counts
 from .harmonic import HarmonicParams, KnapsackInstance, classify
@@ -34,8 +33,7 @@ __all__ = ["MAX_ITEMS", "PackingResult", "harmonic_pack", "adversarial_instance"
 MAX_ITEMS = 100_000
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     bins_used: int
     per_class_bins: dict[int, int]
     opt_lower_bound: int
@@ -93,10 +91,11 @@ def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> Knapsac
     is refused before the instance is built.
     """
     if n_bundles < 0:
-        raise ValueError(f"n_bundles must be >= 0, got {n_bundles}")
+        raise ValueError("n_bundles must be >= 0")
     counts, eps = witness_counts(params, eps)
     bundle = build_witness(params, counts, eps)
-    if n_bundles * len(bundle) > MAX_ITEMS:
-        raise ValueError(f"{n_bundles} bundles of {len(bundle)} items exceed {MAX_ITEMS} items")
+    most = MAX_ITEMS // len(bundle)
+    if n_bundles > most:
+        raise ValueError(f"n_bundles must be <= {most}; more would exceed {MAX_ITEMS} items")
     ordered = sorted(bundle.items, key=lambda x: classify(params, x), reverse=True)
     return KnapsackInstance(tuple(ordered) * n_bundles)

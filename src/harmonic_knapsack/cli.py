@@ -12,9 +12,7 @@ inputs, unreadable files), 2 usage error (unknown flags, malformed values).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -62,34 +60,30 @@ def _dump_json(obj) -> None:
 
 
 def _dump_csv(header, rows) -> None:
+    import csv  # only csv output needs it; kept off the start-up path
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
-def _k_arg(s: str) -> int:
-    """argparse type for --k, --k-min and --k-max: an integer of at most MAX_K_DIGITS digits."""
-    try:
-        value = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-    if len(str(abs(value))) > MAX_K_DIGITS:
-        raise argparse.ArgumentTypeError(f"must have at most {MAX_K_DIGITS} digits")
-    return value
+def _int_arg(low=None, high=None, digits: int = MAX_DIGITS):
+    """argparse type: an integer of at most `digits` digits, in [low, high] where given.
 
-
-def _int_up_to(high: int):
-    """argparse type accepting the integers in [1, high]."""
+    The messages name the bound and never echo the value, which may run to
+    thousands of digits.
+    """
 
     def parse(s: str) -> int:
+        if sum(map(str.isdigit, s)) > digits:
+            raise argparse.ArgumentTypeError(f"must have at most {digits} digits")
         try:
             value = int(s)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+            raise argparse.ArgumentTypeError("not an integer") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}")
         return value
 
     return parse
@@ -257,6 +251,7 @@ def _cmd_simulate(args, parser) -> None:
     else:
         instance = adversarial_instance(params, args.adversarial, args.eps)
     if args.shuffle is not None:
+        import random  # only --shuffle needs it; kept off the start-up path
         items = list(instance.items)
         random.Random(args.shuffle).shuffle(items)
         instance = KnapsackInstance(tuple(items))
@@ -282,12 +277,12 @@ def _cmd_simulate(args, parser) -> None:
 
 def _add_format(sub, default_digits: int) -> None:
     sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sub.add_argument("--digits", type=_int_up_to(MAX_DIGITS), default=default_digits, help="decimal places")
+    sub.add_argument("--digits", type=_int_arg(1, MAX_DIGITS), default=default_digits, help="decimal places")
 
 
 def _add_params(sub, required: bool = True) -> None:
     """--k and exactly one of --mu or --family (at most one if not required)."""
-    sub.add_argument("--k", type=_k_arg, required=True)
+    sub.add_argument("--k", type=_int_arg(digits=MAX_K_DIGITS), required=True)
     slope = sub.add_mutually_exclusive_group(required=required)
     slope.add_argument("--mu", type=parse_rational_arg)
     slope.add_argument("--family", choices=sorted(FAMILIES))
@@ -325,18 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="optimum per k under a slope family")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--k-min", type=_k_arg, required=True)
-    p.add_argument("--k-max", type=_k_arg, required=True)
+    p.add_argument("--k-min", type=_int_arg(digits=MAX_K_DIGITS), required=True)
+    p.add_argument("--k-max", type=_int_arg(digits=MAX_K_DIGITS), required=True)
     _add_format(p, TABLE_DIGITS)
     p.set_defaults(handler=_cmd_table)
 
     p = subs.add_parser("sylvester", help="sequence terms and reciprocal prefix sums")
-    p.add_argument("--count", type=_int_up_to(MAX_COUNT), required=True)
+    p.add_argument("--count", type=_int_arg(1, MAX_COUNT), required=True)
     _add_format(p, LIMIT_DIGITS)
     p.set_defaults(handler=_cmd_sylvester)
 
     p = subs.add_parser("limit", help="two-sided bracket on the limiting optimum")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_int_arg(), required=True)
     _add_format(p, LIMIT_DIGITS)
     p.set_defaults(handler=_cmd_limit)
 
@@ -349,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p, required=False)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--items", help="path to a JSON array of \"p/q\" sizes")
-    source.add_argument("--adversarial", type=int, metavar="N", help="number of witness bundles")
+    source.add_argument("--adversarial", type=_int_arg(), metavar="N", help="number of witness bundles")
     _add_eps(p)
-    p.add_argument("--shuffle", type=int, metavar="SEED", help="shuffle arrival order")
+    p.add_argument("--shuffle", type=_int_arg(), metavar="SEED", help="shuffle arrival order")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -2,18 +2,17 @@
 
 Sizes in [0, 1] fall into k classes. Class j, for j in [1, k-1], is the
 interval (1/(j+1), 1/j] and pays a flat 1/j; class k is [0, 1/k] and pays
-mu*x, linear in the size, with slope mu in [0, k]. profit() sums this payoff
-over an item multiset; the optimizers elsewhere in the package maximize it
-subject to the sizes fitting into one unit knapsack.
+mu*x, linear in the size, with slope mu in [0, k]. The optimizers elsewhere
+in the package maximize the payoff summed over an item multiset, subject to
+the sizes fitting into one unit knapsack.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "MAX_DIGITS",
@@ -22,7 +21,6 @@ __all__ = [
     "classify",
     "eval_fk",
     "parse_rational",
-    "profit",
 ]
 
 # CPython refuses to print an int of more than 4300 digits, so no rational
@@ -53,42 +51,52 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class HarmonicParams:
+class HarmonicParams(NamedTuple("HarmonicParams", [("k", int), ("mu", Fraction)])):
     """Number of size classes k >= 1 and small-item slope mu in [0, k]."""
 
-    k: int
-    mu: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        if not 0 <= self.mu <= self.k:
-            raise ValueError(f"mu must lie in [0, {self.k}], got {self.mu}")
+    def __new__(cls, k: int, mu) -> "HarmonicParams":
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        mu = Fraction(mu)
+        if not 0 <= mu <= k:
+            raise ValueError(f"mu must lie in [0, {k}], got {mu}")
+        return super().__new__(cls, k, mu)
 
 
-@dataclass(frozen=True)
 class KnapsackInstance:
-    """Ordered multiset of item sizes, each an exact rational in [0, 1]."""
+    """Ordered multiset of item sizes, each an exact rational in [0, 1]; an immutable value."""
 
-    items: tuple[Fraction, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        sizes = tuple(x if type(x) is Fraction else Fraction(x) for x in self.items)
+    def __init__(self, items) -> None:
+        sizes = tuple(x if type(x) is Fraction else Fraction(x) for x in items)
         for x in sizes:
             if not 0 <= x.numerator <= x.denominator:
                 raise ValueError(f"item size {x} outside [0, 1]")
         object.__setattr__(self, "items", sizes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KnapsackInstance is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KnapsackInstance is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self.items == other.items if type(other) is KnapsackInstance else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.items)
+
+    def __repr__(self) -> str:
+        return f"KnapsackInstance(items={self.items!r})"
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def total(self) -> Fraction:
-        return sum(self.items, Fraction(0))
 
     def to_json(self) -> str:
         """Serialize as a JSON array of exact "p/q" strings."""
@@ -126,7 +134,3 @@ def eval_fk(params: HarmonicParams, x) -> Fraction:
         return Fraction(1, j)
     return params.mu * Fraction(x)
 
-
-def profit(params: HarmonicParams, inst: KnapsackInstance) -> Fraction:
-    """Total payoff of an instance; the empty instance is worth 0."""
-    return sum((eval_fk(params, x) for x in inst), Fraction(0))

@@ -16,9 +16,8 @@ Fraction-based and are cross-checked against the scaled path in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
 
@@ -48,8 +47,7 @@ BRUTE_CAP = 14
 MAX_VECTOR_K = 10_000
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of one exhaustive run."""
 
     opt: Fraction

@@ -14,9 +14,8 @@ Both routes are checked against the exhaustive solver in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
 from .ip_model import IpSolution, SolveReport, score, solve_brute, zero_counts
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Optimal (or greedy) score together with which route produced it."""
 
     opt: Fraction

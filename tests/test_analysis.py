@@ -11,10 +11,11 @@ from harmonic_knapsack.analysis import (
     witness_counts,
 )
 from harmonic_knapsack.exactnum import to_decimal
-from harmonic_knapsack.harmonic import HarmonicParams, classify, profit
+from harmonic_knapsack.harmonic import HarmonicParams, classify
 from harmonic_knapsack.ip_model import cost, score, solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve
 from harmonic_knapsack.sylvester import sylvester_rows
+from helpers import profit
 from reference_values import LIMIT_15, TABLE_OPT
 
 F = Fraction
@@ -48,7 +49,7 @@ def test_witness_example_instance():
     params = HarmonicParams(4, F(4, 3))
     inst = build_witness(params, (1, 1, 0), F(1, 100))
     assert inst.items == (F(101, 200), F(101, 300), F(19, 120))
-    assert inst.total() == 1
+    assert sum(inst.items) == 1
     assert profit(params, inst) > F(31, 18) - F(4, 3) * F(1, 100)
 
 
@@ -65,7 +66,7 @@ def test_witness_items_stay_in_their_classes():
             params = HarmonicParams(k, mu_for(name, k))
             counts, eps = witness_counts(params, F(1, 100))
             inst = build_witness(params, counts, eps)
-            assert inst.total() == 1
+            assert sum(inst.items) == 1
             remaining = list(inst.items)
             for j, c in enumerate(counts, start=1):
                 for _ in range(c):
@@ -158,7 +159,9 @@ def test_bracket_examples():
     assert to_decimal(br.upper, 15) == LIMIT_15
     assert br.width < F(1, 10**75)
     br = tinf_bracket(2)
-    assert (br.lower, br.upper) == (F(3, 2), F(7, 4))
+    assert (br.t, br.lower, br.upper, br.width) == (2, F(3, 2), F(7, 4), F(1, 4))
+    with pytest.raises(AttributeError):
+        br.upper = F(0)
 
 
 def test_bracket_width_formula():

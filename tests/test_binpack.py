@@ -154,7 +154,7 @@ def test_deterministic():
 def test_adversarial_single_bundle():
     params = HarmonicParams(4, F(4, 3))
     inst = adversarial_instance(params, 1, F(1, 100))
-    assert inst.total() == 1
+    assert sum(inst.items) == 1
     classes = [classify(params, x) for x in inst]
     assert classes == sorted(classes, reverse=True)  # class-descending order
 
@@ -162,7 +162,7 @@ def test_adversarial_single_bundle():
 def test_adversarial_bundle_count_sets_lower_bound():
     params = HarmonicParams(4, F(4, 3))
     inst = adversarial_instance(params, 100, F(1, 100))
-    assert inst.total() == 100
+    assert sum(inst.items) == 100
     res = harmonic_pack(params, inst)
     assert res.opt_lower_bound == 100
 

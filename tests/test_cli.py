@@ -67,6 +67,47 @@ def test_eval_domain_error(capsys):
     assert "exceed 100000 items" in capsys.readouterr().err
 
 
+# Integer options given a value far beyond any bound: 2,501 digits still
+# parse as an int, 5,000 exceed CPython's 4,300-digit conversion limit.
+HUGE = [str(10**2500), "9" * 5000, "-" + "9" * 5000]
+HUGE_OPTIONS = [
+    "limit --terms N",
+    "limit --terms 3 --digits N",
+    "sylvester --count N",
+    "eval --k 4 --mu 4/3 --x 1/2 --digits N",
+    "eval --k N --mu 1 --x 1/2",
+    "table --family lee --k-min N --k-max 3",
+    "table --family lee --k-min 3 --k-max N",
+    "simulate --k 3 --adversarial N",
+    "simulate --k 3 --adversarial 2 --shuffle N",
+]
+
+
+@pytest.mark.parametrize("line", HUGE_OPTIONS)
+def test_huge_integers_get_a_short_message(line, capsys):
+    # any seed that converts to an int is valid, so --shuffle is only given the longer values
+    for value in HUGE[1:] if "--shuffle" in line else HUGE:
+        code = run([value if word == "N" else word for word in line.split()])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert 0 < len(err) < 1024
+        assert value.lstrip("-")[:100] not in err
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # start-up is most of a typical call; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize. The modules new to sys.modules are compared, so
+    # whatever the interpreter loaded before the import does not count.
+    code = (
+        "import sys; before = set(sys.modules); import harmonic_knapsack.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "harmonic_knapsack.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
+
+
 def test_usage_errors(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["eval", "--k", "4", "--mu", "4/3"]) == 2  # missing --x
@@ -262,7 +303,7 @@ def test_limit_output(capsys):
 def test_witness_roundtrip(capsys):
     assert run(["witness", "--k", "4", "--mu", "4/3", "--eps", "1/100"]) == 0
     inst = KnapsackInstance.from_json(capsys.readouterr().out)
-    assert inst.total() == 1
+    assert sum(inst.items) == 1
     assert inst.items == (F(101, 200), F(101, 300), F(19, 120))
 
 
@@ -270,7 +311,7 @@ def test_witness_clamps_eps(capsys):
     # greedy counts for k=10 cost 41/42, so eps clamps from 1/10 to 1/41
     assert run(["witness", "--k", "10", "--family", "lee", "--eps", "1/10"]) == 0
     inst = KnapsackInstance.from_json(capsys.readouterr().out)
-    assert inst.total() == 1
+    assert sum(inst.items) == 1
     assert F(42, 41) / 2 in inst.items
 
 

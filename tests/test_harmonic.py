@@ -1,11 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify, eval_fk, profit
+from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify, eval_fk
+from helpers import profit
 
 F = Fraction
 
@@ -76,7 +78,7 @@ def test_all_one_over_k_instance():
     for k in range(1, 13):
         p = HarmonicParams(k, F(k, k + 1))
         inst = KnapsackInstance((F(1, k),) * k)
-        assert inst.total() == 1
+        assert sum(inst.items) == 1
         assert profit(p, inst) == p.mu
 
 
@@ -128,3 +130,31 @@ def test_instance_validation_and_json():
         KnapsackInstance.from_json("{}")
     with pytest.raises(ValueError, match="more than 4300 digits"):
         KnapsackInstance.from_json('["1e-300000"]')
+
+
+def test_params_and_instances_are_immutable_values():
+    p = HarmonicParams(3, 1)
+    assert type(p.mu) is Fraction
+    assert p == HarmonicParams(k=3, mu=F(1)) and hash(p) == hash(HarmonicParams(3, F(1)))
+    assert p != HarmonicParams(3, F(3, 2))
+    assert {p: "x"}[HarmonicParams(3, F(1))] == "x"
+    inst = KnapsackInstance(x for x in (1, F(1, 2), 0))
+    assert inst.items == (F(1), F(1, 2), F(0)) and all(type(x) is Fraction for x in inst.items)
+    assert inst == KnapsackInstance([F(1), F(1, 2), F(0)]) and hash(inst) == hash(KnapsackInstance((1, F(1, 2), 0)))
+    assert inst != KnapsackInstance((F(1),)) and inst != inst.items
+    for obj, name in ((p, "k"), (p, "mu"), (inst, "items")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 2)
+    with pytest.raises(AttributeError):
+        del inst.items
+    for args, message in (
+        ((0, F(1)), "k must be an integer >= 1, got 0"),
+        ((True, F(1)), "k must be an integer >= 1, got True"),
+        ((F(3), F(1)), "k must be an integer >= 1, got Fraction(3, 1)"),
+        ((3, F(4)), "mu must lie in [0, 3], got 4"),
+        ((3, F(-1, 2)), "mu must lie in [0, 3], got -1/2"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HarmonicParams(*args)
+    with pytest.raises(ValueError, match=re.escape("item size 3/2 outside [0, 1]")):
+        KnapsackInstance([F(1, 2), F(3, 2)])

@@ -230,3 +230,14 @@ def test_solve_dispatch():
     assert (out.opt, out.counts) == (F(31, 18), (1, 1, 0))
     with pytest.raises(ValueError):
         solve(HarmonicParams(4, F(4, 3)), method="simplex")
+
+
+def test_results_expose_their_fields():
+    out = solve(HarmonicParams(3, F(1, 2)))
+    assert (out.opt, out.method, out.counts) == (F(19, 12), "brute", (1, 1))
+    report = out.report
+    assert (report.opt, report.argmax, report.feasible_count, report.nodes_visited) == (F(19, 12), (1, 1), 5, 8)
+    out = solve(HarmonicParams(4, F(4, 3)), method="closed")
+    assert (out.opt, out.method, out.counts, out.report) == (F(31, 18), "closed", None, None)
+    with pytest.raises(AttributeError):
+        out.opt = F(0)
