@@ -19,7 +19,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .harmonic import HarmonicParams, KnapsackInstance, classify
-from .ip_model import IpSolution, cost, is_feasible
+from .ip_model import IpSolution, cost
 from .solvers import greedy_solution, solve_closed_form
 from .sylvester import sylvester_rows
 
@@ -48,7 +48,7 @@ def mu_for(name: str, k: int) -> Fraction:
     except KeyError:
         raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}") from None
     if k < min_k:
-        raise ValueError(f"family {name} needs k >= {min_k}, got {k}")
+        raise ValueError(f"family {name} needs k >= {min_k}")
     return rule(k)
 
 
@@ -80,19 +80,19 @@ def build_witness(params: HarmonicParams, counts: IpSolution, eps) -> KnapsackIn
     """
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not is_feasible(counts, params):
-        raise ValueError("counts are infeasible (cost >= 1)")
+        raise ValueError("eps must be positive")
     load = cost(counts, params)
+    if load >= 1:
+        raise ValueError("counts are infeasible (cost >= 1)")
     if load > 0 and eps > 1 / load - 1:
-        raise ValueError(f"eps too large: need eps <= 1/cost - 1 = {1 / load - 1}, got {eps}")
+        raise ValueError(f"eps too large: need eps <= 1/cost - 1 = {1 / load - 1}")
     items: list[Fraction] = []
     for j, copies in enumerate(counts, start=1):
         if copies == 0:
             continue
         size = Fraction(1 + eps, j + 1)
         if classify(params, size) != j:
-            raise ValueError(f"eps={eps} pushes the class-{j} item {size} out of its class")
+            raise ValueError(f"eps pushes the class-{j} item out of its class")
         items.extend([size] * copies)
     running = (1 + eps) * load
     filler = Fraction(1, params.k)

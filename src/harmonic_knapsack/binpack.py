@@ -57,7 +57,7 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
     for x in items:
         n, d = x.numerator, x.denominator
         if not 0 < n <= d:
-            raise ValueError(f"item size {x} outside (0, 1]")
+            raise ValueError("item size outside (0, 1]")
         numerators[d] = numerators.get(d, 0) + n
         if 2 * n > d:
             big_items += 1

@@ -21,7 +21,7 @@ def to_decimal(value, digits: int) -> str:
     across platforms.
     """
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise ValueError("digits must be >= 1")
     value = Fraction(value)
     scale = 10**digits
     units, rem = divmod(abs(value.numerator) * scale, value.denominator)

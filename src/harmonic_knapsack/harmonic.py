@@ -43,11 +43,11 @@ def parse_rational(text: str) -> Fraction:
         fits = exponent is None or abs(int(exponent.group(1))) <= MAX_DIGITS + len(text)
         value = Fraction(text) if fits else None
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError("zero denominator") from None
     except ValueError:
-        raise ValueError(f"not a rational: {text!r}") from None
+        raise ValueError("not a rational") from None
     if value is None or abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
-        raise ValueError(f"{text!r} has more than {MAX_DIGITS} digits in its numerator or denominator")
+        raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
     return value
 
 
@@ -58,10 +58,10 @@ class HarmonicParams(NamedTuple("HarmonicParams", [("k", int), ("mu", Fraction)]
 
     def __new__(cls, k: int, mu) -> "HarmonicParams":
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+            raise ValueError("k must be an integer >= 1")
         mu = Fraction(mu)
         if not 0 <= mu <= k:
-            raise ValueError(f"mu must lie in [0, {k}], got {mu}")
+            raise ValueError("mu must lie in [0, k]")
         return super().__new__(cls, k, mu)
 
 
@@ -74,7 +74,7 @@ class KnapsackInstance:
         sizes = tuple(x if type(x) is Fraction else Fraction(x) for x in items)
         for x in sizes:
             if not 0 <= x.numerator <= x.denominator:
-                raise ValueError(f"item size {x} outside [0, 1]")
+                raise ValueError("item size outside [0, 1]")
         object.__setattr__(self, "items", sizes)
 
     def __setattr__(self, name, value):
@@ -119,7 +119,7 @@ def classify(params: HarmonicParams, x) -> int:
     x = Fraction(x)
     n, d = x.numerator, x.denominator
     if not 0 <= n <= d:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise ValueError("x must lie in [0, 1]")
     if n * params.k <= d:
         return params.k
     # x in (1/k, 1]: floor(1/x) is the class index, hitting j exactly on the

@@ -7,8 +7,8 @@ at most k! leaves. Its score is mu + sum counts[j-1]*(1/j - mu/(j+1)).
 solve_brute maximizes the score by depth-first enumeration in lexicographic
 order with prefix-cost pruning.
 
-The enumeration hot loop runs on plain integers: costs are scaled by
-lcm(2..k) and scores by q*lcm(1..k) for mu = p/q, so every comparison is
+The enumeration hot loop runs on plain integers: with L = lcm(1..k) and
+mu = p/q, costs are scaled by L and scores by q*L, so every comparison is
 exact without per-node Fraction churn. The public score/cost helpers stay
 Fraction-based and are cross-checked against the scaled path in the tests.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "SolveReport",
     "score",
     "cost",
-    "is_feasible",
     "solve_brute",
     "zero_counts",
 ]
@@ -69,7 +68,7 @@ def _check_vector(counts: IpSolution, params: HarmonicParams) -> None:
 def zero_counts(params: HarmonicParams) -> list[int]:
     """A fresh all-zero count vector for params; k above MAX_VECTOR_K is refused."""
     if params.k > MAX_VECTOR_K:
-        raise ValueError(f"k={params.k} is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
+        raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
     return [0] * (params.k - 1)
 
 
@@ -89,24 +88,18 @@ def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
     return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 
-def is_feasible(counts: IpSolution, params: HarmonicParams) -> bool:
-    """Strict test cost < 1; no epsilon anywhere."""
-    return cost(counts, params) < 1
-
-
 def _scaled_problem(params: HarmonicParams):
     """Integer rescaling of cost steps and score gains.
 
-    Costs are multiplied by d = lcm(2..k) and scores by m_scale = q*lcm(1..k)
-    where mu = p/q; both stay exact because j and j+1 divide lcm(1..k).
+    Costs are multiplied by d = lcm(1..k) and scores by m_scale = q*d where
+    mu = p/q; both stay exact because j and j+1 divide d.
     """
     k = params.k
-    big = math.lcm(*range(1, k + 1)) if k > 1 else 1
-    d = math.lcm(*range(2, k + 1)) if k > 1 else 1
+    d = math.lcm(*range(1, k + 1))
     p, q = params.mu.numerator, params.mu.denominator
     steps = [d // (j + 1) for j in range(1, k)]
-    gains = [q * big // j - p * big // (j + 1) for j in range(1, k)]
-    return d, steps, q * big, gains, p * big
+    gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
+    return d, steps, q * d, gains, p * d
 
 
 def solve_brute(params: HarmonicParams) -> SolveReport:
@@ -119,7 +112,7 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     cutoff.
     """
     if params.k > BRUTE_CAP:
-        raise ValueError(f"k={params.k} exceeds the exhaustive-search cap {BRUTE_CAP}")
+        raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
     counts = zero_counts(params)
     d, steps, m_scale, gains, base = _scaled_problem(params)
     k = params.k

@@ -4,10 +4,10 @@ For mu >= 1 the optimum is reached on a prefix of the reciprocal-splitting
 sequence: let m be the last class whose score coefficient is positive (0 if
 none is) and q the last sequence index with term <= m; then the optimum
 equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}.
-greedy_solution builds that same prefix one increment at a time. With k = 1
-(no classes) or mu >= 2 (every coefficient 1/j - mu/(j+1) non-positive) m is
-0, so Q = 0, r_1 = S_1 = 1 and both routes give mu, the score of the
-all-zero vector.
+greedy_solution puts one item in each of the classes r_1, ..., r_q and
+scores that vector exactly. With k = 1 (no classes) or mu >= 2 (every
+coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
+and both routes give mu, the score of the all-zero vector.
 Both routes are checked against the exhaustive solver in the tests.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
@@ -69,34 +70,25 @@ def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     k. For k >= 2 with mu < 1 no closed form is claimed; use solve_brute.
     """
     if params.k >= 2 and params.mu < 1:
-        raise ValueError(
-            f"no closed form for k >= 2 with mu < 1 (got mu={params.mu}); use solve_brute"
-        )
+        raise ValueError("no closed form for k >= 2 with mu < 1; use solve_brute")
     _, _, r_next, s_next = closed_form_pieces(params)
     return SolveOutcome(s_next + (params.mu - 1) / r_next, "closed")
 
 
 def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
-    """Greedy construction: always increment the cheapest useful class.
+    """Greedy vector: one item in each class that is a sequence term <= m.
 
-    Starting from all zeros, repeatedly bump the count at the smallest class
-    index i <= m that keeps the cost strictly below 1. The indices picked
-    turn out to be the reciprocal-splitting sequence terms up to m. For
-    mu >= 1 the result is optimal (at m = 0 it is the zero vector, scoring
-    mu); for mu < 1 it is a heuristic and is validated against the
-    exhaustive solver in the tests only.
+    Repeatedly incrementing the cheapest useful class while the cost stays
+    below 1 picks exactly these classes, each once (the tests keep that rule
+    as greedy's reference), so the vector is read off the first Q rows of the
+    walk and then scored exactly. For mu >= 1 the result is optimal (at m = 0
+    it is the zero vector, scoring mu); for mu < 1 it is a heuristic and is
+    validated against the exhaustive solver in the tests only.
     """
-    m = compute_m(params)
     counts = zero_counts(params)
-    load = Fraction(0)
-    while True:
-        b = 1 / (1 - load)
-        # smallest i with 1/(i+1) < 1 - load, i.e. i + 1 > b: that is floor(b)
-        i = b.numerator // b.denominator
-        if i > m:
-            break
-        counts[i - 1] += 1
-        load += Fraction(1, i + 1)
+    _, q, _, _ = closed_form_pieces(params)
+    for r, _ in islice(sylvester_rows(), q):
+        counts[r - 1] = 1
     picked = tuple(counts)
     return picked, score(picked, params)
 

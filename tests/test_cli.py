@@ -59,7 +59,7 @@ def test_eval_domain_error(capsys):
         ["simulate", "--k", huge, "--adversarial", "1"],
     ):
         assert run(argv) == 1
-        assert "error: k=10000000000" in capsys.readouterr().err
+        assert "error: k is above 10000," in capsys.readouterr().err
     assert run(["ip-opt", "--k", huge, "--mu", "3/2"]) == 0
     assert "method = closed" in capsys.readouterr().out
     # 10**30 bundles of 3 items are refused before the instance is built
@@ -88,6 +88,35 @@ def test_huge_integers_get_a_short_message(line, capsys):
     # any seed that converts to an int is valid, so --shuffle is only given the longer values
     for value in HUGE[1:] if "--shuffle" in line else HUGE:
         code = run([value if word == "N" else word for word in line.split()])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert 0 < len(err) < 1024
+        assert value.lstrip("-")[:100] not in err
+
+
+# Values within an option's digit bound that the library refuses, and
+# rationals one digit beyond it: the message names the bound, not the value.
+SEVENS, K_SEVENS = "7" * 4300, "7" * 1300
+HUGE_VALUES = {
+    "eval --k 3 --mu N --x 1/2": [SEVENS, "7" * 4301, "-" + SEVENS],
+    "ip-opt --k 3 --mu N --method closed": ["1/" + SEVENS],
+    "eval --k 3 --mu 1 --x N": [SEVENS, "-1/" + SEVENS, "1/" + "7" * 4301],
+    "witness --k 4 --mu 1 --eps N": ["-" + SEVENS, "7" * 4301],
+    "simulate --k 3 --items N": [SEVENS, "-1/" + SEVENS, "7" * 4301],
+    "eval --k N --mu 1 --x 1/2": ["-" + K_SEVENS],
+    "witness --k N --mu 1": [K_SEVENS],
+    "ip-opt --k N --mu 1/2": [K_SEVENS],
+    "ip-opt --k N --family lee": ["-" + K_SEVENS],
+}
+
+
+@pytest.mark.parametrize("line", HUGE_VALUES)
+def test_huge_values_get_a_short_message(line, tmp_path, capsys):
+    path = tmp_path / "items.json"
+    for value in HUGE_VALUES[line]:
+        path.write_text(json.dumps(["1/2", value]))
+        arg = str(path) if "--items" in line else value
+        code = run([arg if word == "N" else word for word in line.split()])
         err = capsys.readouterr().err
         assert code in (1, 2)
         assert 0 < len(err) < 1024

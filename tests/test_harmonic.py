@@ -148,13 +148,13 @@ def test_params_and_instances_are_immutable_values():
     with pytest.raises(AttributeError):
         del inst.items
     for args, message in (
-        ((0, F(1)), "k must be an integer >= 1, got 0"),
-        ((True, F(1)), "k must be an integer >= 1, got True"),
-        ((F(3), F(1)), "k must be an integer >= 1, got Fraction(3, 1)"),
-        ((3, F(4)), "mu must lie in [0, 3], got 4"),
-        ((3, F(-1, 2)), "mu must lie in [0, 3], got -1/2"),
+        ((0, F(1)), "k must be an integer >= 1"),
+        ((True, F(1)), "k must be an integer >= 1"),
+        ((F(3), F(1)), "k must be an integer >= 1"),
+        ((3, F(4)), "mu must lie in [0, k]"),
+        ((3, F(-1, 2)), "mu must lie in [0, k]"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             HarmonicParams(*args)
-    with pytest.raises(ValueError, match=re.escape("item size 3/2 outside [0, 1]")):
+    with pytest.raises(ValueError, match=re.escape("item size outside [0, 1]")):
         KnapsackInstance([F(1, 2), F(3, 2)])

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import cost, is_feasible, score, solve_brute
+from harmonic_knapsack.ip_model import cost, score, solve_brute
 
 F = Fraction
 
@@ -49,9 +49,10 @@ def test_length_mismatch_rejected():
 
 
 def test_is_feasible():
-    assert is_feasible((1, 1, 0), HarmonicParams(4, F(4, 3)))
-    assert not is_feasible((1, 2), HarmonicParams(3, F(3, 2)))
-    assert is_feasible((), HarmonicParams(1, F(1)))
+    # feasible means a cost strictly below 1, with no epsilon anywhere
+    assert cost((1, 1, 0), HarmonicParams(4, F(4, 3))) < 1
+    assert cost((1, 2), HarmonicParams(3, F(3, 2))) >= 1
+    assert cost((), HarmonicParams(1, F(1))) < 1
 
 
 def test_enumeration_small_cases():
@@ -105,7 +106,7 @@ def test_solve_brute_matches_oracle():
 def test_report_is_consistent():
     params = HarmonicParams(6, F(6, 5))
     rep = solve_brute(params)
-    assert is_feasible(rep.argmax, params)
+    assert cost(rep.argmax, params) < 1
     assert score(rep.argmax, params) == rep.opt
     assert rep.feasible_count == len(oracle_feasible(6))
     assert rep.nodes_visited >= rep.feasible_count
@@ -152,7 +153,7 @@ def test_zeroing_nonpositive_coefficients_never_hurts():
             coeff = [F(1, j) - mu / (j + 1) for j in range(1, k)]
             for z in oracle_feasible(k):
                 trimmed = tuple(0 if coeff[i] <= 0 else c for i, c in enumerate(z))
-                assert is_feasible(trimmed, params)
+                assert cost(trimmed, params) < 1
                 assert score(trimmed, params) >= score(z, params)
 
 

@@ -133,7 +133,7 @@ def test_greedy_examples():
 
 
 def test_greedy_preconditions():
-    # at m = 0 the loop stops at once on the zero vector, which scores mu
+    # at m = 0 no term is taken (Q = 0): the zero vector, which scores mu
     assert greedy_solution(HarmonicParams(1, F(1))) == ((), F(1))
     assert greedy_solution(HarmonicParams(1, F(1, 3))) == ((), F(1, 3))
     assert greedy_solution(HarmonicParams(5, F(2))) == ((0, 0, 0, 0), F(2))
@@ -144,16 +144,36 @@ def test_greedy_preconditions():
         greedy_solution(HarmonicParams(MAX_VECTOR_K + 1, F(3, 2)))
 
 
+def cheapest_class_greedy(params):
+    """Reference greedy: from all zeros, increment the smallest class i <= m
+    whose item keeps the cost strictly below 1, until none does."""
+    m = compute_m(params)
+    counts = [0] * (params.k - 1)
+    load = F(0)
+    while True:
+        b = 1 / (1 - load)
+        # smallest i with 1/(i+1) < 1 - load, i.e. i + 1 > b: that is floor(b)
+        i = b.numerator // b.denominator
+        if i > m:
+            return tuple(counts)
+        counts[i - 1] += 1
+        load += F(1, i + 1)
+
+
 def test_greedy_picks_sequence_prefix():
-    # the incremented classes are exactly the sequence terms up to m
-    for k, mu in [(7, F(7, 6)), (12, F(12, 11)), (43, F(44, 43)), (50, F(51, 50))]:
-        params = HarmonicParams(k, mu)
-        m = compute_m(params)
-        counts, _ = greedy_solution(params)
-        picked = {j for j, c in enumerate(counts, start=1) if c}
-        expected = {r for r in TERMS if r <= m}
-        assert picked == expected
-        assert all(c in (0, 1) for c in counts)
+    # greedy reads the sequence terms <= m off the walk; the cheapest-class
+    # loop finds its vector independently, below mu = 1 too
+    slopes = sorted({F(a, b) for b in range(1, 7) for a in range(0, 5 * b // 2 + 1)})
+    for k in [*range(1, 60), 200, 1000, MAX_VECTOR_K]:
+        for mu in slopes:
+            if mu > k:
+                continue
+            params = HarmonicParams(k, mu)
+            counts, value = greedy_solution(params)
+            assert counts == cheapest_class_greedy(params), (k, mu)
+            _, _, r_next, s_next = closed_form_pieces(params)
+            assert cost(counts, params) == 1 - F(1, r_next), (k, mu)
+            assert value == s_next + (mu - 1) / r_next, (k, mu)
 
 
 def test_prefix_costs_telescope():
