@@ -6,10 +6,9 @@ the reciprocal prefix sums squeeze the same limit from both sides, which
 tinf_bracket exploits: lower bound S_t, upper bound the closed-form optimum
 at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
 
-build_witness turns a feasible count vector into an actual item multiset
+build_witness turns the greedy count vector into an actual item multiset
 whose total size is exactly 1 and whose profit trails the vector's score by
 less than mu*eps, exhibiting the optimum as a true packing profit.
-witness_counts is the one place that picks that vector for (k, mu).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .harmonic import HarmonicParams, KnapsackInstance, classify
-from .ip_model import IpSolution, cost
+from .harmonic import HarmonicParams, KnapsackInstance
+from .ip_model import cost
 from .solvers import greedy_solution, solve_closed_form
 from .sylvester import sylvester_rows
 
@@ -27,7 +26,6 @@ __all__ = [
     "FAMILIES",
     "LimitBracket",
     "mu_for",
-    "witness_counts",
     "build_witness",
     "tinf_bracket",
 ]
@@ -52,55 +50,29 @@ def mu_for(name: str, k: int) -> Fraction:
     return rule(k)
 
 
-def witness_counts(params: HarmonicParams, eps) -> tuple[IpSolution, Fraction]:
-    """Count vector a witness for (k, mu) is built from, and eps clamped to it.
+def build_witness(params: HarmonicParams, eps) -> KnapsackInstance:
+    """Item multiset of total size 1 realizing (almost) the greedy vector's score.
 
-    The vector is the greedy one, all zeros where m = 0 (k = 1 or mu >= 2).
-    eps is lowered to 1/cost - 1 when it exceeds that, so the pair is always
-    accepted by build_witness on the cost side.
+    One item (1+eps)/(j+1) per greedy class j (none where m = 0), then copies
+    of 1/k while they fit, then the exact remainder. eps must be positive and
+    is lowered to 1/s - 1 where the vector's cost s is positive; the profit is
+    score - mu*eps*s exactly. As s = 1 - 1/r_{Q+1} and each greedy class
+    j <= min(m, k - 1) < r_{Q+1}, that eps is at most 1/(r_{Q+1} - 1) <= 1/j,
+    which keeps every item inside its class.
     """
     counts, _ = greedy_solution(params)
-    eps = Fraction(eps)
-    load = cost(counts, params)
-    if load > 0:
-        eps = min(eps, 1 / load - 1)
-    return counts, eps
-
-
-def build_witness(params: HarmonicParams, counts: IpSolution, eps) -> KnapsackInstance:
-    """Item multiset realizing (almost) the score of a feasible count vector.
-
-    For each class j the instance holds counts[j-1] copies of (1+eps)/(j+1),
-    nudged just inside class j, then copies of 1/k while they fit, then the
-    exact remainder so the total is 1. With s = cost(counts) the profit works
-    out to score - mu*eps*s exactly.
-
-    eps must be positive, small enough that (1+eps)s <= 1, and small enough
-    that every constructed item still classifies into its intended class.
-    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     load = cost(counts, params)
-    if load >= 1:
-        raise ValueError("counts are infeasible (cost >= 1)")
-    if load > 0 and eps > 1 / load - 1:
-        raise ValueError(f"eps too large: need eps <= 1/cost - 1 = {1 / load - 1}")
-    items: list[Fraction] = []
-    for j, copies in enumerate(counts, start=1):
-        if copies == 0:
-            continue
-        size = Fraction(1 + eps, j + 1)
-        if classify(params, size) != j:
-            raise ValueError(f"eps pushes the class-{j} item out of its class")
-        items.extend([size] * copies)
-    running = (1 + eps) * load
+    if load > 0:
+        eps = min(eps, 1 / load - 1)
+    items = [Fraction(1 + eps, j + 1) for j, copies in enumerate(counts, start=1) if copies]
     filler = Fraction(1, params.k)
-    while running + filler <= 1:
-        items.append(filler)
-        running += filler
-    if running < 1:
-        items.append(1 - running)
+    fillers, rest = divmod(1 - (1 + eps) * load, filler)
+    items.extend([filler] * fillers)
+    if rest:
+        items.append(rest)
     return KnapsackInstance(tuple(items))
 
 

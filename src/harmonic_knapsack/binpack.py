@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .analysis import build_witness, witness_counts
+from .analysis import build_witness
 from .harmonic import HarmonicParams, KnapsackInstance, classify
 
 __all__ = ["MAX_ITEMS", "PackingResult", "harmonic_pack", "adversarial_instance"]
@@ -84,7 +84,7 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
 def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> KnapsackInstance:
     """n_bundles copies of the witness bundle, classes descending.
 
-    The bundle comes from witness_counts, so eps is clamped the same way.
+    The bundle is build_witness(params, eps), so eps is clamped the same way.
     Each bundle sums to exactly 1, so the true packing optimum is at most
     n_bundles. Within a bundle the smallest items (class k) come first; the
     fixed order keeps runs reproducible. More than MAX_ITEMS items in all
@@ -92,8 +92,7 @@ def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> Knapsac
     """
     if n_bundles < 0:
         raise ValueError("n_bundles must be >= 0")
-    counts, eps = witness_counts(params, eps)
-    bundle = build_witness(params, counts, eps)
+    bundle = build_witness(params, eps)
     most = MAX_ITEMS // len(bundle)
     if n_bundles > most:
         raise ValueError(f"n_bundles must be <= {most}; more would exceed {MAX_ITEMS} items")

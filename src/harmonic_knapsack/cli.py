@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket, witness_counts
+from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import MAX_DIGITS, HarmonicParams, KnapsackInstance, eval_fk, parse_rational
@@ -238,9 +238,7 @@ def _cmd_limit(args, parser) -> None:
 
 
 def _cmd_witness(args, parser) -> None:
-    params = _params(args)
-    counts, eps = witness_counts(params, args.eps)
-    print(build_witness(params, counts, eps).to_json())
+    print(build_witness(_params(args), args.eps).to_json())
 
 
 def _cmd_simulate(args, parser) -> None:
@@ -250,17 +248,16 @@ def _cmd_simulate(args, parser) -> None:
             instance = KnapsackInstance.from_json(fh.read())
     else:
         instance = adversarial_instance(params, args.adversarial, args.eps)
+    items = list(instance.items)
     if args.shuffle is not None:
         import random  # only --shuffle needs it; kept off the start-up path
-        items = list(instance.items)
         random.Random(args.shuffle).shuffle(items)
-        instance = KnapsackInstance(tuple(items))
-    result = harmonic_pack(params, instance)
+    result = harmonic_pack(params, items)
     _dump_json(
         {
             "k": params.k,
             "mu": params.mu,
-            "num_items": len(instance),
+            "num_items": len(items),
             "bins_used": result.bins_used,
             "per_class_bins": {str(c): n for c, n in result.per_class_bins.items()},
             "opt_lower_bound": result.opt_lower_bound,

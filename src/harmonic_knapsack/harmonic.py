@@ -36,7 +36,8 @@ def parse_rational(text: str) -> Fraction:
     Numerator and denominator may have at most MAX_DIGITS digits each. The
     exponent is checked before Fraction builds 10**exponent from it: the
     mantissa has fewer than len(text) digits to cancel, so an exponent beyond
-    MAX_DIGITS + len(text) can only give a longer result.
+    MAX_DIGITS + len(text) can only give a longer result. A run of more than
+    MAX_DIGITS digits, which Fraction refuses as if bad syntax, is too long.
     """
     exponent = _EXPONENT.search(text)
     try:
@@ -45,7 +46,9 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
     except ValueError:
-        raise ValueError("not a rational") from None
+        if not any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
+            raise ValueError("not a rational") from None
+        value = None
     if value is None or abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
         raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
     return value
@@ -104,7 +107,10 @@ class KnapsackInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "KnapsackInstance":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:  # nesting too deep for the decoder
+            raw = None
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise ValueError('expected a JSON array of "p/q" strings')
         return cls(tuple(parse_rational(s) for s in raw))

@@ -12,14 +12,14 @@ import time
 from fractions import Fraction
 from itertools import islice
 
-from harmonic_knapsack.analysis import FAMILIES, build_witness, mu_for, tinf_bracket, witness_counts
+from harmonic_knapsack.analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
 from harmonic_knapsack.exactnum import to_decimal
 from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, eval_fk
 from harmonic_knapsack.ip_model import solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form
 from harmonic_knapsack.sylvester import sylvester_rows
-from helpers import profit
+from helpers import clamped_eps, profit
 from reference_values import (
     FAMILY_RANGE,
     LIMIT_15,
@@ -113,8 +113,8 @@ def test_criterion_6_witness_properties():
             params = HarmonicParams(k, mu_for(family, k))
             opt = solve(params, method="auto").opt
             for eps in [F(1, 10), F(1, 100), F(1, 1000)]:
-                counts, eps = witness_counts(params, eps)
-                witness = build_witness(params, counts, eps)
+                witness = build_witness(params, eps)
+                eps = clamped_eps(params, eps)
                 value = profit(params, witness)
                 ok = ok and sum(witness.items) == 1
                 ok = ok and value > opt - params.mu * eps

@@ -8,14 +8,13 @@ from harmonic_knapsack.analysis import (
     build_witness,
     mu_for,
     tinf_bracket,
-    witness_counts,
 )
 from harmonic_knapsack.exactnum import to_decimal
 from harmonic_knapsack.harmonic import HarmonicParams, classify
 from harmonic_knapsack.ip_model import cost, score, solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve
 from harmonic_knapsack.sylvester import sylvester_rows
-from helpers import profit
+from helpers import clamped_eps, profit
 from reference_values import LIMIT_15, TABLE_OPT
 
 F = Fraction
@@ -47,77 +46,84 @@ def test_family_slopes_stay_in_domain():
 
 def test_witness_example_instance():
     params = HarmonicParams(4, F(4, 3))
-    inst = build_witness(params, (1, 1, 0), F(1, 100))
+    inst = build_witness(params, F(1, 100))
     assert inst.items == (F(101, 200), F(101, 300), F(19, 120))
     assert sum(inst.items) == 1
     assert profit(params, inst) > F(31, 18) - F(4, 3) * F(1, 100)
 
 
 def test_witness_zero_vector_gives_uniform_instance():
-    params = HarmonicParams(3, F(3, 2))
-    inst = build_witness(params, (0, 0), F(1, 2))
+    params = HarmonicParams(3, F(2))  # mu >= 2: the greedy vector is all zeros
+    inst = build_witness(params, F(1, 2))
     assert inst.items == (F(1, 3),) * 3
-    assert profit(params, inst) == F(3, 2)
+    assert profit(params, inst) == F(2)
+
+
+def witness_grid():
+    """(params, eps) for k = 1..30, 44, 100, mu = a/b in [0, min(k, 3)] with b <= 6."""
+    for k in [*range(1, 31), 44, 100]:
+        mus = {F(a, b) for b in range(1, 7) for a in range(min(k, 3) * b + 1)}
+        for mu in sorted(mus):
+            for eps in [F(1, 1000), F(1, 10), F(1), F(5)]:
+                yield HarmonicParams(k, mu), eps
 
 
 def test_witness_items_stay_in_their_classes():
-    for name, (min_k, _) in FAMILIES.items():
-        for k in range(max(2, min_k), 11):
-            params = HarmonicParams(k, mu_for(name, k))
-            counts, eps = witness_counts(params, F(1, 100))
-            inst = build_witness(params, counts, eps)
-            assert sum(inst.items) == 1
-            remaining = list(inst.items)
-            for j, c in enumerate(counts, start=1):
-                for _ in range(c):
-                    item = F(1 + eps, j + 1)
-                    assert classify(params, item) == j
-                    remaining.remove(item)
-            for item in remaining:  # fillers all land in the smallest class
-                assert classify(params, item) == k
+    for params, eps in witness_grid():
+        inst = build_witness(params, eps)
+        eps = clamped_eps(params, eps)
+        assert sum(inst.items) == 1, (params, eps)
+        counts, _ = greedy_solution(params)
+        classes = [j for j, c in enumerate(counts, start=1) if c]
+        head, fillers = inst.items[: len(classes)], inst.items[len(classes) :]
+        assert head == tuple(F(1 + eps, j + 1) for j in classes), (params, eps)
+        assert [classify(params, x) for x in head] == classes, (params, eps)
+        # fillers all land in the smallest class
+        assert all(classify(params, x) == params.k for x in fillers), (params, eps)
 
 
 def test_witness_profit_identity():
-    # profit == score - mu * eps * cost, exactly
-    for k, mu in [(4, F(4, 3)), (7, F(7, 6)), (10, F(80, 71)), (5, F(5, 3))]:
-        params = HarmonicParams(k, mu)
-        for eps in [F(1, 10), F(1, 100), F(1, 1000)]:
-            counts, eps = witness_counts(params, eps)
-            inst = build_witness(params, counts, eps)
-            s = cost(counts, params)
-            assert profit(params, inst) == score(counts, params) - mu * eps * s
+    # profit == score - mu * eps * cost, exactly, with eps as clamped
+    for params, eps in witness_grid():
+        inst = build_witness(params, eps)
+        eps = clamped_eps(params, eps)
+        counts, _ = greedy_solution(params)
+        s = cost(counts, params)
+        assert profit(params, inst) == score(counts, params) - params.mu * eps * s, (params, eps)
 
 
 def test_witness_profit_never_exceeds_optimum():
     for k in range(2, 9):
         params = HarmonicParams(k, F(k, k - 1))
-        inst = build_witness(params, *witness_counts(params, F(1, 1000)))
+        inst = build_witness(params, F(1, 1000))
         assert profit(params, inst) <= solve_brute(params).opt
 
 
 def test_witness_counts_choice_and_clamp():
-    # greedy below mu = 2, eps clamped to 1/cost - 1 = 1/41 at cost 41/42
+    # greedy classes 1, 2, 6 below mu = 2; eps clamped to 1/cost - 1 = 1/41
+    # at cost 41/42, where the three items fill the bin without a filler
     params = HarmonicParams(10, F(10, 9))
-    assert witness_counts(params, F(1, 10)) == (greedy_solution(params)[0], F(1, 41))
-    assert witness_counts(params, F(1, 100)) == (greedy_solution(params)[0], F(1, 100))
+    assert greedy_solution(params)[0] == (1, 1, 0, 0, 0, 1, 0, 0, 0)
+    assert build_witness(params, F(1, 10)).items == (F(21, 41), F(14, 41), F(6, 41))
+    assert build_witness(params, F(1, 100)).items[:3] == (F(101, 200), F(101, 300), F(101, 700))
     # below mu = 1 greedy is only a heuristic, but it is still the source
     params = HarmonicParams(5, F(1, 2))
-    assert witness_counts(params, F(1, 1000))[0] == greedy_solution(params)[0]
-    # no classes at k = 1 and non-positive coefficients at mu >= 2: zeros, no clamp
-    assert witness_counts(HarmonicParams(1, F(1)), F(5)) == ((), F(5))
-    assert witness_counts(HarmonicParams(4, F(5, 2)), F(1, 2)) == ((0, 0, 0), F(1, 2))
+    assert build_witness(params, F(1, 1000)).items == (F(1001, 2000), F(1001, 3000), F(199, 1200))
+    # no classes at k = 1 and non-positive coefficients at mu >= 2: fillers only
+    assert build_witness(HarmonicParams(1, F(1)), F(5)).items == (F(1),)
+    assert build_witness(HarmonicParams(4, F(5, 2)), F(1, 2)).items == (F(1, 4),) * 4
 
 
 def test_witness_validation():
     params = HarmonicParams(3, F(3, 2))
-    with pytest.raises(ValueError):
-        build_witness(params, (1, 2), F(1, 100))  # infeasible counts
-    with pytest.raises(ValueError):
-        build_witness(params, (1, 0), F(0))  # eps must be positive
-    with pytest.raises(ValueError):
-        build_witness(params, (1, 0), F(3, 2))  # above 1/cost - 1 = 1
-    with pytest.raises(ValueError, match="class"):
-        build_witness(params, (0, 1), F(1))  # (1+1)/3 jumps to class 1
+    for eps in (F(0), F(-1, 3)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            build_witness(params, eps)
+    # the greedy vector (1, 0) costs 1/2: eps above 1/cost - 1 = 1 is clamped to 1
+    assert build_witness(params, F(3, 2)).items == (F(1),)
+    # the count vector is built first, so a huge k is refused before eps is read
+    with pytest.raises(ValueError, match="k is above 10000"):
+        build_witness(HarmonicParams(10_001, F(1)), F(0))
 
 
 def sweep(family, k_min, k_max):

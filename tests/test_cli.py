@@ -32,6 +32,10 @@ def test_parse_rational_arg():
     for text in ("1e4300", "1e-4300", "1.5e-4300", "1e-300000", "1" * 4301):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_rational_arg(text)
+    # runs of digits that CPython's int parser refuses, not bad syntax
+    for text in ("7" * 4301, "1/" + "7" * 4301, "0." + "0" * 4400 + "1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 4300 digits"):
+            parse_rational_arg(text)
     # without the exponent check this builds a 3,000,001-digit denominator
     start = time.perf_counter()
     with pytest.raises(argparse.ArgumentTypeError):
@@ -384,9 +388,14 @@ def test_simulate_items_file(tmp_path, capsys):
     assert data["ratio"] == {"num": "1", "den": "1"}
     # a size from the file is bounded like a rational option, but it is a
     # domain error there
-    path.write_text('["1/2", "1e-300000"]')
+    for text in ("1e-300000", "0." + "0" * 4400 + "1"):
+        path.write_text(json.dumps(["1/2", text]))
+        assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
+        assert "has more than 4300 digits" in capsys.readouterr().err
+    # nesting too deep for the JSON decoder is a malformed file, not a traceback
+    path.write_text("[" * 5000 + "]" * 5000)
     assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
-    assert "has more than 4300 digits" in capsys.readouterr().err
+    assert 'expected a JSON array of "p/q" strings' in capsys.readouterr().err
 
 
 def test_simulate_shuffle_is_seeded(capsys):
