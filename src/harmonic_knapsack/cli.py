@@ -35,6 +35,10 @@ MAX_TABLE_ROWS = 1_000
 # CPython prints at most 4300 digits. Every family's optimum at the largest k
 # of up to 1316 digits still prints (its denominator grows with k).
 MAX_K_DIGITS = 1_300
+# Options that take a rational. argparse reads a separate word such as "-1/3"
+# or "-1e3" as an option (only "-123" and "-1.5" pass as negative numbers),
+# so run() joins such a word to its option before parsing.
+RATIONAL_OPTIONS = ("--mu", "--x", "--eps")
 
 
 def parse_rational_arg(s: str) -> Fraction:
@@ -43,6 +47,27 @@ def parse_rational_arg(s: str) -> Fraction:
         return parse_rational(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """`--eps -1/3` becomes `--eps=-1/3`, so both spellings reach the value check.
+
+    Only a word that starts with "-" and then a digit or "." is joined, and
+    only to a rational option or an abbreviation of one.
+    """
+    out: list[str] = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if (
+            word[:1] == "-"
+            and (word[1:2].isdigit() or word[1:2] == ".")
+            and len(prev) > 2
+            and any(name.startswith(prev) for name in RATIONAL_OPTIONS)
+        ):
+            out[-1] = f"{prev}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def _frac_json(value) -> dict:
@@ -351,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         args.handler(args, parser)

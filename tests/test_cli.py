@@ -69,6 +69,17 @@ def test_eval_domain_error(capsys):
     # 10**30 bundles of 3 items are refused before the instance is built
     assert run(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", huge]) == 1
     assert "exceed 100000 items" in capsys.readouterr().err
+    # a negative rational as a separate word reaches the same value check as
+    # after "=", although argparse alone reads "-1/3" and "-1e3" as options
+    for head, option, message in (
+        (["eval", "--k", "3", "--x", "1/2"], "--mu", "mu must lie in [0, k]"),
+        (["eval", "--k", "3", "--mu", "1/2"], "--x", "x must lie in [0, 1]"),
+        (["witness", "--k", "4", "--mu", "1"], "--eps", "eps must be positive"),
+    ):
+        for value in ("-1/3", "-1e3"):
+            for words in ([option, value], [f"{option}={value}"]):
+                assert run(head + words) == 1
+                assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Integer options given a value far beyond any bound: 2,501 digits still

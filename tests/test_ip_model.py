@@ -1,13 +1,52 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import cost, score, solve_brute
+from harmonic_knapsack.ip_model import SolveReport, cost, score, solve_brute
 
 F = Fraction
+
+
+def reference_brute(params):
+    """The plain depth-first search that solve_brute memoizes: every node is walked.
+
+    Same integer scaling (costs times d = lcm(1..k), scores times q*d for
+    mu = p/q), same lexicographic order and node counting, no shared subtrees.
+    """
+    k, p, q = params.k, params.mu.numerator, params.mu.denominator
+    d = math.lcm(*range(1, k + 1))
+    steps = [d // (j + 1) for j in range(1, k)]
+    gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
+    counts = [0] * (k - 1)
+    best = None
+    best_counts = ()
+    n_feasible = 0
+    nodes = 0
+
+    def extend(pos, load, gained):
+        nonlocal best, best_counts, n_feasible, nodes
+        if pos == k - 1:
+            n_feasible += 1
+            if best is None or gained > best:
+                best = gained
+                best_counts = tuple(counts)
+            return
+        for value in range(pos + 2):
+            nodes += 1
+            new_load = load + value * steps[pos]
+            if new_load >= d:
+                break
+            counts[pos] = value
+            extend(pos + 1, new_load, gained + value * gains[pos])
+        counts[pos] = 0
+
+    extend(0, 0, p * d)
+    return SolveReport(Fraction(best, q * d), best_counts, n_feasible, nodes)
 
 
 def oracle_feasible(k):
@@ -101,6 +140,42 @@ def test_solve_brute_matches_oracle():
                 continue
             params = HarmonicParams(k, mu)
             assert solve_brute(params).opt == oracle_opt(params)
+
+
+def test_solve_brute_matches_reference_search():
+    # the whole report: opt, the lexicographically smallest argmax, and the
+    # feasible and node counts of the full tree
+    for k in range(1, 13):
+        for mu in sorted({F(a, b) for b in range(1, 13) for a in range(0, b * min(k, 3) + 1)}):
+            params = HarmonicParams(k, mu)
+            assert solve_brute(params) == reference_brute(params), (k, mu)
+    for k in (13, 14):
+        for mu in (F(0), F(1, 2), F(11, 12), F(3, 2)):
+            params = HarmonicParams(k, mu)
+            assert solve_brute(params) == reference_brute(params), (k, mu)
+
+
+def test_counts_at_the_cap_depend_on_k_alone():
+    for mu in (F(0), F(1, 2), F(1), F(14)):
+        rep = solve_brute(HarmonicParams(14, mu))
+        assert (rep.feasible_count, rep.nodes_visited) == (101_065, 237_931)
+
+
+def test_memo_is_released():
+    # the per-call memo peaks near 1 MiB at k = 14; nothing of it may outlive
+    # the call, even with the cyclic collector off
+    params = HarmonicParams(14, F(1, 2))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        solve_brute(params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 1.5 * 2**20
+    assert held < 256 * 2**10
 
 
 def test_report_is_consistent():
