@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .harmonic import HarmonicParams, KnapsackInstance
+from .harmonic import HarmonicParams
 from .ip_model import cost
 from .solvers import greedy_solution, solve_closed_form
 from .sylvester import sylvester_rows
@@ -50,8 +50,8 @@ def mu_for(name: str, k: int) -> Fraction:
     return rule(k)
 
 
-def build_witness(params: HarmonicParams, eps) -> KnapsackInstance:
-    """Item multiset of total size 1 realizing (almost) the greedy vector's score.
+def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
+    """Item sizes, in a tuple, of total size 1 realizing (almost) the greedy vector's score.
 
     One item (1+eps)/(j+1) per greedy class j (none where m = 0), then copies
     of 1/k while they fit, then the exact remainder. eps must be positive and
@@ -73,7 +73,7 @@ def build_witness(params: HarmonicParams, eps) -> KnapsackInstance:
     items.extend([filler] * fillers)
     if rest:
         items.append(rest)
-    return KnapsackInstance(tuple(items))
+    return tuple(items)
 
 
 class LimitBracket(NamedTuple):

@@ -19,7 +19,6 @@ knapsack optimum for the chosen (k, mu).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -73,10 +72,15 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
         if count == 0:
             per_class[j] = per_class.get(j, 0) + 1
         filled[j] = 0 if count + 1 == j else count + 1
-    scale = math.lcm(*numerators)
-    total = Fraction(sum(n * (scale // d) for d, n in numerators.items()), scale)
+    # exact total size, summed pairwise and unreduced: one running common
+    # denominator would cost time quadratic in the distinct denominators
+    terms = [(n, d) for d, n in numerators.items()] or [(0, 1)]
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + odd
+    [(n, d)] = terms
     bins_used = sum(per_class.values())
-    lower = max(math.ceil(total), big_items)
+    lower = max(-(-n // d), big_items)
     ratio = Fraction(bins_used, lower) if lower > 0 else None
     return PackingResult(bins_used, per_class, lower, ratio)
 
@@ -96,5 +100,5 @@ def adversarial_instance(params: HarmonicParams, n_bundles: int, eps) -> Knapsac
     most = MAX_ITEMS // len(bundle)
     if n_bundles > most:
         raise ValueError(f"n_bundles must be <= {most}; more would exceed {MAX_ITEMS} items")
-    ordered = sorted(bundle.items, key=lambda x: classify(params, x), reverse=True)
+    ordered = sorted(bundle, key=lambda x: classify(params, x), reverse=True)
     return KnapsackInstance(tuple(ordered) * n_bundles)

@@ -20,7 +20,7 @@ from itertools import islice
 from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
-from .harmonic import MAX_DIGITS, HarmonicParams, KnapsackInstance, eval_fk, parse_rational
+from .harmonic import MAX_DIGITS, HarmonicParams, eval_fk, parse_rational, parse_sizes
 from .solvers import closed_form_pieces, solve
 from .sylvester import sylvester_rows
 
@@ -197,8 +197,6 @@ def _cmd_ip_opt(args, parser) -> None:
 
 
 def _cmd_table(args, parser) -> None:
-    if args.k_min < 1:
-        parser.error("--k-min must be >= 1")
     if args.k_max < args.k_min:
         parser.error("--k-max must be >= --k-min")
     if args.k_max - args.k_min + 1 > MAX_TABLE_ROWS:
@@ -263,19 +261,19 @@ def _cmd_limit(args, parser) -> None:
 
 
 def _cmd_witness(args, parser) -> None:
-    print(build_witness(_params(args), args.eps).to_json())
+    print(json.dumps([str(x) for x in build_witness(_params(args), args.eps)]))
 
 
 def _cmd_simulate(args, parser) -> None:
     params = _params(args)
     if args.items is not None:
         with open(args.items, "r", encoding="utf-8") as fh:
-            instance = KnapsackInstance.from_json(fh.read())
+            items = parse_sizes(fh.read())
     else:
-        instance = adversarial_instance(params, args.adversarial, args.eps)
-    items = list(instance.items)
+        items = adversarial_instance(params, args.adversarial, args.eps).items
     if args.shuffle is not None:
         import random  # only --shuffle needs it; kept off the start-up path
+        items = list(items)
         random.Random(args.shuffle).shuffle(items)
     result = harmonic_pack(params, items)
     _dump_json(
@@ -342,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="optimum per k under a slope family")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--k-min", type=_int_arg(digits=MAX_K_DIGITS), required=True)
+    p.add_argument("--k-min", type=_int_arg(1, digits=MAX_K_DIGITS), required=True)
     p.add_argument("--k-max", type=_int_arg(digits=MAX_K_DIGITS), required=True)
     _add_format(p, TABLE_DIGITS)
     p.set_defaults(handler=_cmd_table)

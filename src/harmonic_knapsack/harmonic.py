@@ -1,4 +1,4 @@
-"""Size-classed profit function and exact knapsack instances.
+"""Size-classed profit function and exact parsing of rationals and item sizes.
 
 Sizes in [0, 1] fall into k classes. Class j, for j in [1, k-1], is the
 interval (1/(j+1), 1/j] and pays a flat 1/j; class k is [0, 1/k] and pays
@@ -21,6 +21,7 @@ __all__ = [
     "classify",
     "eval_fk",
     "parse_rational",
+    "parse_sizes",
 ]
 
 # CPython refuses to print an int of more than 4300 digits, so no rational
@@ -54,6 +55,17 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def parse_sizes(text: str) -> tuple[Fraction, ...]:
+    """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
+    try:
+        raw = json.loads(text)
+    except RecursionError:  # nesting too deep for the decoder
+        raw = None
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise ValueError('expected a JSON array of "p/q" strings')
+    return tuple(parse_rational(s) for s in raw)
+
+
 class HarmonicParams(NamedTuple("HarmonicParams", [("k", int), ("mu", Fraction)])):
     """Number of size classes k >= 1 and small-item slope mu in [0, k]."""
 
@@ -69,51 +81,22 @@ class HarmonicParams(NamedTuple("HarmonicParams", [("k", int), ("mu", Fraction)]
 
 
 class KnapsackInstance:
-    """Ordered multiset of item sizes, each an exact rational in [0, 1]; an immutable value."""
+    """Holder of the sizes adversarial_instance returns; unchecked (harmonic_pack checks them).
+
+    It stays only until perfbench stops calling it; the rest of the package
+    passes sizes as plain tuples.
+    """
 
     __slots__ = ("items",)
 
     def __init__(self, items) -> None:
-        sizes = tuple(x if type(x) is Fraction else Fraction(x) for x in items)
-        for x in sizes:
-            if not 0 <= x.numerator <= x.denominator:
-                raise ValueError("item size outside [0, 1]")
-        object.__setattr__(self, "items", sizes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"KnapsackInstance is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"KnapsackInstance is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        return self.items == other.items if type(other) is KnapsackInstance else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.items)
-
-    def __repr__(self) -> str:
-        return f"KnapsackInstance(items={self.items!r})"
+        self.items = tuple(items)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of exact "p/q" strings."""
-        return json.dumps([str(x) for x in self.items])
-
-    @classmethod
-    def from_json(cls, text: str) -> "KnapsackInstance":
-        try:
-            raw = json.loads(text)
-        except RecursionError:  # nesting too deep for the decoder
-            raw = None
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-            raise ValueError('expected a JSON array of "p/q" strings')
-        return cls(tuple(parse_rational(s) for s in raw))
 
 
 def classify(params: HarmonicParams, x) -> int:

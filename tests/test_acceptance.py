@@ -15,7 +15,7 @@ from itertools import islice
 from harmonic_knapsack.analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
 from harmonic_knapsack.exactnum import to_decimal
-from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, eval_fk
+from harmonic_knapsack.harmonic import HarmonicParams, eval_fk
 from harmonic_knapsack.ip_model import solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form
 from harmonic_knapsack.sylvester import sylvester_rows
@@ -116,7 +116,7 @@ def test_criterion_6_witness_properties():
                 witness = build_witness(params, eps)
                 eps = clamped_eps(params, eps)
                 value = profit(params, witness)
-                ok = ok and sum(witness.items) == 1
+                ok = ok and sum(witness) == 1
                 ok = ok and value > opt - params.mu * eps
                 ok = ok and value <= opt
                 checked += 1
@@ -163,7 +163,7 @@ def test_criterion_9_simulator_guarantee():
     for seed in range(100):
         rng = random.Random(seed)
         items = tuple(F(rng.randint(1, 1200), 1200) for _ in range(rng.randint(1, 300)))
-        res = harmonic_pack(params, KnapsackInstance(items))
+        res = harmonic_pack(params, items)
         total = sum(items, F(0))
         ok = ok and res.bins_used <= bound * math.ceil(total) + params.k
     elapsed = time.perf_counter() - start

@@ -46,17 +46,17 @@ def test_family_slopes_stay_in_domain():
 
 def test_witness_example_instance():
     params = HarmonicParams(4, F(4, 3))
-    inst = build_witness(params, F(1, 100))
-    assert inst.items == (F(101, 200), F(101, 300), F(19, 120))
-    assert sum(inst.items) == 1
-    assert profit(params, inst) > F(31, 18) - F(4, 3) * F(1, 100)
+    sizes = build_witness(params, F(1, 100))
+    assert sizes == (F(101, 200), F(101, 300), F(19, 120))
+    assert sum(sizes) == 1
+    assert profit(params, sizes) > F(31, 18) - F(4, 3) * F(1, 100)
 
 
 def test_witness_zero_vector_gives_uniform_instance():
     params = HarmonicParams(3, F(2))  # mu >= 2: the greedy vector is all zeros
-    inst = build_witness(params, F(1, 2))
-    assert inst.items == (F(1, 3),) * 3
-    assert profit(params, inst) == F(2)
+    sizes = build_witness(params, F(1, 2))
+    assert sizes == (F(1, 3),) * 3
+    assert profit(params, sizes) == F(2)
 
 
 def witness_grid():
@@ -70,12 +70,12 @@ def witness_grid():
 
 def test_witness_items_stay_in_their_classes():
     for params, eps in witness_grid():
-        inst = build_witness(params, eps)
+        sizes = build_witness(params, eps)
         eps = clamped_eps(params, eps)
-        assert sum(inst.items) == 1, (params, eps)
+        assert sum(sizes) == 1, (params, eps)
         counts, _ = greedy_solution(params)
         classes = [j for j, c in enumerate(counts, start=1) if c]
-        head, fillers = inst.items[: len(classes)], inst.items[len(classes) :]
+        head, fillers = sizes[: len(classes)], sizes[len(classes) :]
         assert head == tuple(F(1 + eps, j + 1) for j in classes), (params, eps)
         assert [classify(params, x) for x in head] == classes, (params, eps)
         # fillers all land in the smallest class
@@ -85,18 +85,18 @@ def test_witness_items_stay_in_their_classes():
 def test_witness_profit_identity():
     # profit == score - mu * eps * cost, exactly, with eps as clamped
     for params, eps in witness_grid():
-        inst = build_witness(params, eps)
+        sizes = build_witness(params, eps)
         eps = clamped_eps(params, eps)
         counts, _ = greedy_solution(params)
         s = cost(counts, params)
-        assert profit(params, inst) == score(counts, params) - params.mu * eps * s, (params, eps)
+        assert profit(params, sizes) == score(counts, params) - params.mu * eps * s, (params, eps)
 
 
 def test_witness_profit_never_exceeds_optimum():
     for k in range(2, 9):
         params = HarmonicParams(k, F(k, k - 1))
-        inst = build_witness(params, F(1, 1000))
-        assert profit(params, inst) <= solve_brute(params).opt
+        sizes = build_witness(params, F(1, 1000))
+        assert profit(params, sizes) <= solve_brute(params).opt
 
 
 def test_witness_counts_choice_and_clamp():
@@ -104,14 +104,14 @@ def test_witness_counts_choice_and_clamp():
     # at cost 41/42, where the three items fill the bin without a filler
     params = HarmonicParams(10, F(10, 9))
     assert greedy_solution(params)[0] == (1, 1, 0, 0, 0, 1, 0, 0, 0)
-    assert build_witness(params, F(1, 10)).items == (F(21, 41), F(14, 41), F(6, 41))
-    assert build_witness(params, F(1, 100)).items[:3] == (F(101, 200), F(101, 300), F(101, 700))
+    assert build_witness(params, F(1, 10)) == (F(21, 41), F(14, 41), F(6, 41))
+    assert build_witness(params, F(1, 100))[:3] == (F(101, 200), F(101, 300), F(101, 700))
     # below mu = 1 greedy is only a heuristic, but it is still the source
     params = HarmonicParams(5, F(1, 2))
-    assert build_witness(params, F(1, 1000)).items == (F(1001, 2000), F(1001, 3000), F(199, 1200))
+    assert build_witness(params, F(1, 1000)) == (F(1001, 2000), F(1001, 3000), F(199, 1200))
     # no classes at k = 1 and non-positive coefficients at mu >= 2: fillers only
-    assert build_witness(HarmonicParams(1, F(1)), F(5)).items == (F(1),)
-    assert build_witness(HarmonicParams(4, F(5, 2)), F(1, 2)).items == (F(1, 4),) * 4
+    assert build_witness(HarmonicParams(1, F(1)), F(5)) == (F(1),)
+    assert build_witness(HarmonicParams(4, F(5, 2)), F(1, 2)) == (F(1, 4),) * 4
 
 
 def test_witness_validation():
@@ -120,7 +120,7 @@ def test_witness_validation():
         with pytest.raises(ValueError, match="eps must be positive"):
             build_witness(params, eps)
     # the greedy vector (1, 0) costs 1/2: eps above 1/cost - 1 = 1 is clamped to 1
-    assert build_witness(params, F(3, 2)).items == (F(1),)
+    assert build_witness(params, F(3, 2)) == (F(1),)
     # the count vector is built first, so a huge k is refused before eps is read
     with pytest.raises(ValueError, match="k is above 10000"):
         build_witness(HarmonicParams(10_001, F(1)), F(0))

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -10,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_knapsack.binpack import MAX_ITEMS, adversarial_instance, harmonic_pack
-from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify
+from harmonic_knapsack.harmonic import HarmonicParams, classify
 from harmonic_knapsack.solvers import solve_closed_form
 
 F = Fraction
 
 
 def random_instance(rng, n_items, denom=1200):
-    return KnapsackInstance(tuple(F(rng.randint(1, denom), denom) for _ in range(n_items)))
+    return tuple(F(rng.randint(1, denom), denom) for _ in range(n_items))
 
 
 def reference_bins(params, items):
@@ -67,7 +69,7 @@ def test_hand_simulated_three_classes():
 
 
 def test_empty_instance():
-    res = harmonic_pack(HarmonicParams(2, F(2)), KnapsackInstance(()))
+    res = harmonic_pack(HarmonicParams(2, F(2)), ())
     assert res.bins_used == 0
     assert res.opt_lower_bound == 0
     assert res.ratio is None
@@ -84,10 +86,9 @@ def test_next_fit_exact_fill():
 
 def test_rejects_nonpositive_and_oversize():
     params = HarmonicParams(3, F(1))
-    with pytest.raises(ValueError):
-        harmonic_pack(params, KnapsackInstance((F(0),)))
-    with pytest.raises(ValueError):
-        harmonic_pack(params, KnapsackInstance((F(1), F(0, 2))))
+    for items in ((F(0),), (F(1), F(0, 2)), (F(1, 2), F(3, 2)), (F(-1, 3),)):
+        with pytest.raises(ValueError, match=re.escape("item size outside (0, 1]")):
+            harmonic_pack(params, items)
 
 
 def test_packing_is_valid_on_random_instances():
@@ -96,7 +97,7 @@ def test_packing_is_valid_on_random_instances():
         params = HarmonicParams(k, F(k, k - 1))
         for _ in range(10):
             inst = random_instance(rng, rng.randint(0, 120))
-            _, res = check_against_reference(params, inst.items)
+            _, res = check_against_reference(params, inst)
             assert res.bins_used == sum(res.per_class_bins.values())
             assert res.bins_used >= res.opt_lower_bound
 
@@ -144,6 +145,18 @@ def test_memory_does_not_grow_with_item_count():
     assert peak(100_000) <= peak(10_000) + 2048
 
 
+def test_total_size_is_fast_with_many_distinct_denominators():
+    # 20,000 sizes 1/d with consecutive d: a running lcm of the denominators
+    # costs time quadratic in their number, a pairwise sum does not
+    d0 = 10**6
+    params = HarmonicParams(2 * d0, F(1))
+    items = [F(1, d) for d in range(d0, d0 + 20_000)]
+    start = time.perf_counter()
+    res = harmonic_pack(params, items)
+    assert time.perf_counter() - start < 1.0
+    assert res.opt_lower_bound == 1  # the sizes add up to just under 1/50
+
+
 def test_deterministic():
     rng = random.Random(7)
     inst = random_instance(rng, 80)
@@ -154,7 +167,7 @@ def test_deterministic():
 def test_adversarial_single_bundle():
     params = HarmonicParams(4, F(4, 3))
     inst = adversarial_instance(params, 1, F(1, 100))
-    assert sum(inst.items) == 1
+    assert sum(inst) == 1
     classes = [classify(params, x) for x in inst]
     assert classes == sorted(classes, reverse=True)  # class-descending order
 
@@ -162,7 +175,7 @@ def test_adversarial_single_bundle():
 def test_adversarial_bundle_count_sets_lower_bound():
     params = HarmonicParams(4, F(4, 3))
     inst = adversarial_instance(params, 100, F(1, 100))
-    assert sum(inst.items) == 100
+    assert sum(inst) == 100
     res = harmonic_pack(params, inst)
     assert res.opt_lower_bound == 100
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonic_knapsack.harmonic import KnapsackInstance
 from harmonic_knapsack.cli import parse_rational_arg, run
+from harmonic_knapsack.harmonic import parse_sizes
 from reference_values import LIMIT_15, SEQUENCE_FIRST_SEVEN, TABLE_DECIMALS, TABLE_OPT
 
 F = Fraction
@@ -189,7 +189,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     # a table has k >= 1 and between 1 and 1000 rows, refused before any work
     for argv, message in (
-        (["--k-min", "0", "--k-max", "3"], "--k-min must be >= 1"),
+        (["--k-min", "0", "--k-max", "3"], "--k-min: must be >= 1"),
         (["--k-min", "4", "--k-max", "3"], "--k-max must be >= --k-min"),
         (["--k-min", "1", "--k-max", "1001"], "at most 1000 rows"),
         (["--k-min", "2", "--k-max", str(10**8)], "at most 1000 rows"),
@@ -346,17 +346,17 @@ def test_limit_output(capsys):
 
 def test_witness_roundtrip(capsys):
     assert run(["witness", "--k", "4", "--mu", "4/3", "--eps", "1/100"]) == 0
-    inst = KnapsackInstance.from_json(capsys.readouterr().out)
-    assert sum(inst.items) == 1
-    assert inst.items == (F(101, 200), F(101, 300), F(19, 120))
+    out = capsys.readouterr().out
+    assert out == '["101/200", "101/300", "19/120"]\n'
+    assert parse_sizes(out) == (F(101, 200), F(101, 300), F(19, 120))
 
 
 def test_witness_clamps_eps(capsys):
     # greedy counts for k=10 cost 41/42, so eps clamps from 1/10 to 1/41
     assert run(["witness", "--k", "10", "--family", "lee", "--eps", "1/10"]) == 0
-    inst = KnapsackInstance.from_json(capsys.readouterr().out)
-    assert sum(inst.items) == 1
-    assert F(42, 41) / 2 in inst.items
+    sizes = parse_sizes(capsys.readouterr().out)
+    assert sum(sizes) == 1
+    assert F(42, 41) / 2 in sizes
 
 
 def test_simulate_adversarial(capsys):
@@ -381,8 +381,8 @@ def test_simulate_clamps_eps_like_witness(capsys):
     # greedy counts for k=4, mu=4/3 cost 5/6, so eps clamps from 1/2 to 1/5
     args = ["--k", "4", "--mu", "4/3", "--eps", "1/2"]
     assert run(["witness", *args]) == 0
-    bundle = KnapsackInstance.from_json(capsys.readouterr().out)
-    assert bundle.items[0] == F(6, 5) / 2
+    bundle = parse_sizes(capsys.readouterr().out)
+    assert bundle[0] == F(6, 5) / 2
     assert run(["simulate", *args, "--adversarial", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["num_items"] == 5 * len(bundle)
@@ -391,7 +391,7 @@ def test_simulate_clamps_eps_like_witness(capsys):
 
 def test_simulate_items_file(tmp_path, capsys):
     path = tmp_path / "items.json"
-    path.write_text(KnapsackInstance((F(3, 5), F(3, 5), F(3, 10), F(3, 10), F(3, 10))).to_json())
+    path.write_text(json.dumps(["3/5", "3/5", "3/10", "3/10", "3/10"]))
     assert run(["simulate", "--k", "3", "--mu", "3/2", "--items", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["bins_used"] == 3
@@ -403,6 +403,11 @@ def test_simulate_items_file(tmp_path, capsys):
         path.write_text(json.dumps(["1/2", text]))
         assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
         assert "has more than 4300 digits" in capsys.readouterr().err
+    # the packer range-checks every size, whatever its source
+    for text in ("3/2", "0", "-1/3"):
+        path.write_text(json.dumps(["1/2", text]))
+        assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
+        assert "item size outside (0, 1]" in capsys.readouterr().err
     # nesting too deep for the JSON decoder is a malformed file, not a traceback
     path.write_text("[" * 5000 + "]" * 5000)
     assert run(["simulate", "--k", "3", "--items", str(path)]) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_knapsack.harmonic import HarmonicParams, KnapsackInstance, classify, eval_fk
+from harmonic_knapsack.harmonic import HarmonicParams, classify, eval_fk, parse_sizes
 from helpers import profit
 
 F = Fraction
@@ -66,20 +66,20 @@ def test_k1_is_all_linear():
 
 
 def test_profit_examples():
-    assert profit(HarmonicParams(2, F(1)), KnapsackInstance(())) == 0
+    assert profit(HarmonicParams(2, F(1)), ()) == 0
     eps = F(1, 100)
-    inst = KnapsackInstance(((1 + eps) / 2, (1 + eps) / 3))
-    assert profit(HarmonicParams(4, F(4, 3)), inst) == F(3, 2)
-    thirds = KnapsackInstance((F(1, 3),) * 3)
+    sizes = ((1 + eps) / 2, (1 + eps) / 3)
+    assert profit(HarmonicParams(4, F(4, 3)), sizes) == F(3, 2)
+    thirds = (F(1, 3),) * 3
     assert profit(HarmonicParams(3, F(3, 2)), thirds) == F(3, 2)
 
 
 def test_all_one_over_k_instance():
     for k in range(1, 13):
         p = HarmonicParams(k, F(k, k + 1))
-        inst = KnapsackInstance((F(1, k),) * k)
-        assert sum(inst.items) == 1
-        assert profit(p, inst) == p.mu
+        sizes = (F(1, k),) * k
+        assert sum(sizes) == 1
+        assert profit(p, sizes) == p.mu
 
 
 def test_partition_on_samples():
@@ -119,34 +119,31 @@ def test_monotone_for_small_slopes(k, x, y):
     assert eval_fk(p, lo) <= eval_fk(p, hi)
 
 
-def test_instance_validation_and_json():
+def test_parse_sizes():
+    assert parse_sizes('["1/2", "1/3", "1", "0.25", "0"]') == (F(1, 2), F(1, 3), F(1), F(1, 4), F(0))
+    assert parse_sizes("[]") == ()
+    # the range is harmonic_pack's to check; parsing keeps any rational
+    assert parse_sizes('["3/2", "-1/3"]') == (F(3, 2), F(-1, 3))
+    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000):
+        with pytest.raises(ValueError, match=re.escape('expected a JSON array of "p/q" strings')):
+            parse_sizes(text)
     with pytest.raises(ValueError):
-        KnapsackInstance((F(3, 2),))
-    inst = KnapsackInstance((F(1, 2), F(1, 3), F(1)))
-    text = inst.to_json()
-    assert KnapsackInstance.from_json(text) == inst
-    assert text == '["1/2", "1/3", "1"]'
-    with pytest.raises(ValueError):
-        KnapsackInstance.from_json("{}")
+        parse_sizes("not json")
     with pytest.raises(ValueError, match="more than 4300 digits"):
-        KnapsackInstance.from_json('["1e-300000"]')
+        parse_sizes('["1e-300000"]')
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_sizes('["1/2", "half"]')
 
 
-def test_params_and_instances_are_immutable_values():
+def test_params_are_immutable_values():
     p = HarmonicParams(3, 1)
     assert type(p.mu) is Fraction
     assert p == HarmonicParams(k=3, mu=F(1)) and hash(p) == hash(HarmonicParams(3, F(1)))
     assert p != HarmonicParams(3, F(3, 2))
     assert {p: "x"}[HarmonicParams(3, F(1))] == "x"
-    inst = KnapsackInstance(x for x in (1, F(1, 2), 0))
-    assert inst.items == (F(1), F(1, 2), F(0)) and all(type(x) is Fraction for x in inst.items)
-    assert inst == KnapsackInstance([F(1), F(1, 2), F(0)]) and hash(inst) == hash(KnapsackInstance((1, F(1, 2), 0)))
-    assert inst != KnapsackInstance((F(1),)) and inst != inst.items
-    for obj, name in ((p, "k"), (p, "mu"), (inst, "items")):
+    for name in ("k", "mu"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, 2)
-    with pytest.raises(AttributeError):
-        del inst.items
+            setattr(p, name, 2)
     for args, message in (
         ((0, F(1)), "k must be an integer >= 1"),
         ((True, F(1)), "k must be an integer >= 1"),
@@ -156,5 +153,3 @@ def test_params_and_instances_are_immutable_values():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             HarmonicParams(*args)
-    with pytest.raises(ValueError, match=re.escape("item size outside [0, 1]")):
-        KnapsackInstance([F(1, 2), F(3, 2)])
