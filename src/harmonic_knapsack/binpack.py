@@ -8,9 +8,11 @@ the first time an item does not fit. All arithmetic is exact.
 
 The packer keeps counters only; bins and their contents are not kept. It
 counts the items in each open class-j bin and the bins opened per class,
-and keeps the exact load of the open class-k bin and, for the total size,
-numerator sums per denominator. Its memory is O(k + distinct denominators)
-whatever the number of items.
+and keeps, for the total size, numerator sums per denominator. The open
+class-k bin's load is two integers, load/scale, where scale is a multiple
+of the lcm of that bin's denominators, so each fit test is one integer
+compare and no Fraction is built per item. Its memory is O(k + distinct
+denominators) whatever the number of items.
 
 adversarial_instance replays many copies of a witness bundle whose total
 size is exactly 1, so the packer's bins-per-bundle ratio approaches the
@@ -20,6 +22,7 @@ knapsack optimum for the chosen (k, mu).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .analysis import build_witness
@@ -50,7 +53,9 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
     k = params.k
     per_class: dict[int, int] = {}
     filled: dict[int, int] = {}  # class j < k -> items in its open bin
-    small_load = 1  # load of the open class-k bin; "full" until the first opens
+    # the open class-k bin holds load/scale, where scale is a multiple of the
+    # lcm of its items' denominators; 1/1 reads "full" until the first opens
+    load = scale = 1
     numerators: dict[int, int] = {}  # denominator -> sum of numerators over it
     big_items = 0
     for x in items:
@@ -61,10 +66,22 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
         if 2 * n > d:
             big_items += 1
         if n * k <= d:  # class k, next-fit
-            small_load += x
-            if small_load > 1:
+            if d == scale:
+                load += n
+            else:
+                # one gcd and no lcm: a big-by-small division costs as much
+                # as the gcd, so coprime d (g == 1) only multiplies
+                g = gcd(scale, d)
+                if g == d:
+                    load += n * (scale // d)
+                elif g == 1:
+                    load, scale = load * d + n * scale, scale * d
+                else:
+                    m = d // g
+                    load, scale = load * m + n * (scale // g), scale * m
+            if load > scale:
                 per_class[k] = per_class.get(k, 0) + 1
-                small_load = x
+                load, scale = n, d
             continue
         # x in (1/k, 1]: floor(1/x) is the class, as in harmonic.classify
         j = d // n

@@ -59,7 +59,7 @@ def parse_sizes(text: str) -> tuple[Fraction, ...]:
     """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
     try:
         raw = json.loads(text)
-    except RecursionError:  # nesting too deep for the decoder
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep to decode
         raw = None
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise ValueError('expected a JSON array of "p/q" strings')

@@ -84,6 +84,46 @@ def test_next_fit_exact_fill():
     assert all(sum(content) == 1 for _, content in bins)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        # equal denominators
+        (F(1, 9), F(2, 9), F(2, 9), F(2, 9), F(2, 9)) + (F(1, 9),) * 9,
+        # each denominator divides the bin's scale of 12
+        (F(1, 12), F(1, 6), F(1, 4), F(1, 3), F(1, 12), F(1, 4)),
+        # coprime denominators: 1/p over distinct primes, the ninth opens a bin
+        tuple(F(1, p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+        # partial gcds: 6 and 10 share 2, 30 and 45 share 15
+        (F(1, 6), F(1, 10), F(1, 15), F(2, 45)) + (F(1, 6), F(1, 10), F(1, 15)) * 2,
+        # filled to exactly 1, a bin stays open until the next item
+        (F(1, 4), F(1, 3), F(1, 4), F(1, 6)) + (F(1, 5),) * 5,
+        # classes 1 and 2 between class-k items leave the next-fit load alone
+        (F(1, 5), F(3, 5), F(1, 7), F(2, 5), F(1, 3), F(1, 3), F(1, 2), F(1, 35)),
+    ],
+)
+def test_next_fit_load_matches_reference(sizes):
+    _, res = check_against_reference(HarmonicParams(3, F(1)), sizes)
+    assert res.per_class_bins[3] >= 2
+
+
+@st.composite
+def class_k_heavy_case(draw):
+    """k <= 6 and sizes n/d <= 1/k over denominators that share some prime factors."""
+    k = draw(st.integers(2, 6))
+    denominators = st.sampled_from([6, 7, 9, 10, 12, 14, 15, 30, 35, 60, 77, 210])
+    small = denominators.flatmap(lambda d: st.integers(1, d // k).map(lambda n: F(n, d)))
+    sizes = draw(st.lists(st.one_of(small, st.sampled_from([F(1, 2), F(2, 3), F(1)])), max_size=60))
+    return HarmonicParams(k, F(1)), tuple(sizes)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(class_k_heavy_case())
+def test_class_k_heavy_inputs_match_reference(case):
+    # the next-fit load's four gcd branches and the exact-fill boundary, drawn
+    # far more often than packing_case's spread of denominators reaches them
+    check_against_reference(*case)
+
+
 def test_rejects_nonpositive_and_oversize():
     params = HarmonicParams(3, F(1))
     for items in ((F(0),), (F(1), F(0, 2)), (F(1, 2), F(3, 2)), (F(-1, 3),)):

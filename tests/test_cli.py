@@ -408,10 +408,12 @@ def test_simulate_items_file(tmp_path, capsys):
         path.write_text(json.dumps(["1/2", text]))
         assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
         assert "item size outside (0, 1]" in capsys.readouterr().err
-    # nesting too deep for the JSON decoder is a malformed file, not a traceback
-    path.write_text("[" * 5000 + "]" * 5000)
-    assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
-    assert 'expected a JSON array of "p/q" strings' in capsys.readouterr().err
+    # text that is not JSON, or is nested too deep for the JSON decoder, is a
+    # malformed file like any other, not the decoder's message or a traceback
+    for text in ("not json", "[" * 5000 + "]" * 5000):
+        path.write_text(text)
+        assert run(["simulate", "--k", "3", "--items", str(path)]) == 1
+        assert capsys.readouterr().err == 'error: expected a JSON array of "p/q" strings\n'
 
 
 def test_simulate_shuffle_is_seeded(capsys):

@@ -124,11 +124,9 @@ def test_parse_sizes():
     assert parse_sizes("[]") == ()
     # the range is harmonic_pack's to check; parsing keeps any rational
     assert parse_sizes('["3/2", "-1/3"]') == (F(3, 2), F(-1, 3))
-    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000):
+    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000, "not json", ""):
         with pytest.raises(ValueError, match=re.escape('expected a JSON array of "p/q" strings')):
             parse_sizes(text)
-    with pytest.raises(ValueError):
-        parse_sizes("not json")
     with pytest.raises(ValueError, match="more than 4300 digits"):
         parse_sizes('["1e-300000"]')
     with pytest.raises(ValueError, match="not a rational"):
