@@ -52,6 +52,8 @@ def check_against_reference(params, items):
     res = harmonic_pack(params, items)
     assert res.bins_used == len(bins)
     assert res.per_class_bins == Counter(j for j, _ in bins)
+    # classes are listed in the order they first open a bin
+    assert list(res.per_class_bins) == list(dict.fromkeys(j for j, _ in bins))
     assert res.opt_lower_bound == lower
     assert res.ratio == (F(len(bins), lower) if lower else None)
     return bins, res
@@ -66,6 +68,14 @@ def test_hand_simulated_three_classes():
     assert [sum(content) for j, content in bins if j == 3] == [F(9, 10)]
     assert res.opt_lower_bound == 3  # ceil(21/10) = 3 beats the two big items
     assert res.ratio == 1
+
+
+def test_items_above_half_at_k1():
+    # at k = 1 every size is class k, so its next-fit side counts the items
+    # above 1/2; three of them beat ceil(total) = 2
+    _, res = check_against_reference(HarmonicParams(1, F(1)), (F(3, 5),) * 3 + (F(1, 5),))
+    assert res.opt_lower_bound == 3
+    assert res.bins_used == 3
 
 
 def test_empty_instance():
@@ -126,9 +136,28 @@ def test_class_k_heavy_inputs_match_reference(case):
 
 def test_rejects_nonpositive_and_oversize():
     params = HarmonicParams(3, F(1))
-    for items in ((F(0),), (F(1), F(0, 2)), (F(1, 2), F(3, 2)), (F(-1, 3),)):
+    valid = [F(3, 5), F(2, 5), F(1, 4), F(1, 7)]  # classes 1, 2 and 3
+    # 0 and -1/3 take the class-k side of the loop, 3/2 the class-j side
+    for bad in (F(0), F(-1, 3), F(3, 2)):
+        for items in ([bad], [bad] + valid, valid[:2] + [bad] + valid[2:], valid + [bad], valid * 250 + [bad]):
+            for source in (tuple(items), (x for x in items)):
+                with pytest.raises(ValueError, match=re.escape("item size outside (0, 1]")):
+                    harmonic_pack(params, source)
+    for items in ((F(1), F(0, 2)), (0,), (1.5,), (-0.25, 0.5)):
         with pytest.raises(ValueError, match=re.escape("item size outside (0, 1]")):
             harmonic_pack(params, items)
+
+
+def test_int_and_float_sizes_pack_at_their_exact_value():
+    for k in (1, 2, 3, 12):
+        params = HarmonicParams(k, F(1))
+        assert harmonic_pack(params, [1, 1, F(1, 2)]) == harmonic_pack(params, [F(1), F(1), F(1, 2)])
+        floats = [0.1, 0.5, 0.3, 1.0, 0.05, 0.7, 0.25]
+        assert harmonic_pack(params, floats) == harmonic_pack(params, [F(x) for x in floats])
+    # 0.1 is 3602879701896397/2**55, a little above 1/10: ten of them
+    # overflow one next-fit bin, which ten sizes 1/10 fill exactly
+    assert F(0.1) > F(1, 10)
+    assert harmonic_pack(HarmonicParams(3, F(1)), [0.1] * 10).bins_used == 2
 
 
 def test_packing_is_valid_on_random_instances():

@@ -416,6 +416,17 @@ def test_simulate_items_file(tmp_path, capsys):
         assert capsys.readouterr().err == 'error: expected a JSON array of "p/q" strings\n'
 
 
+def test_simulate_sorts_per_class_keys_as_strings(tmp_path, capsys):
+    # classes 12, 1, 2, 11, 12, 1 at k = 12: harmonic_pack lists them in the
+    # order they first open a bin, and the JSON output sorts keys as text
+    path = tmp_path / "items.json"
+    path.write_text(json.dumps(["1/20", "3/5", "2/5", "1/11", "1/13", "1"]))
+    assert run(["simulate", "--k", "12", "--mu", "1", "--items", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data["per_class_bins"]) == ["1", "11", "12", "2"]
+    assert data["per_class_bins"] == {"1": 2, "11": 1, "12": 1, "2": 1}
+
+
 def test_simulate_shuffle_is_seeded(capsys):
     args = ["simulate", "--k", "5", "--adversarial", "20", "--shuffle", "42"]
     assert run(args) == 0
