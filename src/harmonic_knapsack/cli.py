@@ -1,4 +1,7 @@
-"""Command-line front end: the one place that parses options and renders output.
+"""Command-line front end: the one place that reads outside text and renders output.
+
+Outside text is the options, the rationals of --mu, --x and --eps, and the
+--items files; each digit bound on it follows from CPython's 4300-digit limit.
 
 Subcommands: eval, ip-opt, table, sylvester, limit, witness, simulate. The
 library returns exact values; every decimal printed is rendered here from
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -20,7 +24,7 @@ from itertools import islice
 from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
-from .harmonic import MAX_DIGITS, HarmonicParams, eval_fk, parse_rational, parse_sizes
+from .harmonic import HarmonicParams, eval_fk
 from .solvers import closed_form_pieces, solve
 from .sylvester import sylvester_rows
 
@@ -28,17 +32,58 @@ __all__ = ["parse_rational_arg", "run", "main"]
 
 TABLE_DIGITS = 8
 LIMIT_DIGITS = 15
+# CPython refuses to print an int of more than 4300 digits, so no rational
+# read from outside may carry more than that on either side of its slash;
+# MAX_COUNT and MAX_K_DIGITS below are set so that what they admit still prints.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.IGNORECASE)
 # the longest walk whose terms CPython still prints (term 16 has 6671 digits)
 MAX_COUNT = 15
 # a table row costs well under a millisecond at small k; rows are buffered
 MAX_TABLE_ROWS = 1_000
-# CPython prints at most 4300 digits. Every family's optimum at the largest k
-# of up to 1316 digits still prints (its denominator grows with k).
+# Every family's optimum at the largest k of up to 1316 digits still prints
+# (its denominator grows with k).
 MAX_K_DIGITS = 1_300
 # Options that take a rational. argparse reads a separate word such as "-1/3"
 # or "-1e3" as an option (only "-123" and "-1.5" pass as negative numbers),
 # so run() joins such a word to its option before parsing.
 RATIONAL_OPTIONS = ("--mu", "--x", "--eps")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from "p/q", an integer, or a finite decimal such as 1.75 or 2e-3.
+
+    Numerator and denominator may have at most MAX_DIGITS digits each. The
+    exponent is checked before Fraction builds 10**exponent from it: the
+    mantissa has fewer than len(text) digits to cancel, so an exponent beyond
+    MAX_DIGITS + len(text) can only give a longer result. A run of more than
+    MAX_DIGITS digits, which Fraction refuses as if bad syntax, is too long.
+    """
+    exponent = _EXPONENT.search(text)
+    try:
+        fits = exponent is None or abs(int(exponent.group(1))) <= MAX_DIGITS + len(text)
+        value = Fraction(text) if fits else None
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    except ValueError:
+        if not any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
+            raise ValueError("not a rational") from None
+        value = None
+    if value is None or abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+        raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
+    return value
+
+
+def parse_sizes(text: str) -> tuple[Fraction, ...]:
+    """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep to decode
+        raw = None
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise ValueError('expected a JSON array of "p/q" strings')
+    return tuple(parse_rational(s) for s in raw)
 
 
 def parse_rational_arg(s: str) -> Fraction:

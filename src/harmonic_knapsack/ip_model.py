@@ -58,16 +58,6 @@ class SolveReport(NamedTuple):
     nodes_visited: int
 
 
-def _check_vector(counts: IpSolution, params: HarmonicParams) -> None:
-    if len(counts) != params.k - 1:
-        raise ValueError(
-            f"expected {params.k - 1} class counts for k={params.k}, got {len(counts)}"
-        )
-    for j, c in enumerate(counts, start=1):
-        if c < 0:
-            raise ValueError(f"count for class {j} is negative")
-
-
 def zero_counts(params: HarmonicParams) -> list[int]:
     """A fresh all-zero count vector for params; k above MAX_VECTOR_K is refused."""
     if params.k > MAX_VECTOR_K:
@@ -77,7 +67,6 @@ def zero_counts(params: HarmonicParams) -> list[int]:
 
 def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
     """mu plus the per-class gains counts[j-1]*(1/j - mu/(j+1)), exact."""
-    _check_vector(counts, params)
     total = params.mu
     for j, c in enumerate(counts, start=1):
         if c:
@@ -87,7 +76,6 @@ def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
 
 def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
     """Knapsack load sum counts[j-1]/(j+1), exact."""
-    _check_vector(counts, params)
     return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonic_knapsack.cli import parse_rational_arg, run
-from harmonic_knapsack.harmonic import parse_sizes
+from harmonic_knapsack.cli import parse_rational_arg, parse_sizes, run
 from reference_values import LIMIT_15, SEQUENCE_FIRST_SEVEN, TABLE_DECIMALS, TABLE_OPT
 
 F = Fraction
@@ -43,6 +43,20 @@ def test_parse_rational_arg():
     assert time.perf_counter() - start < 0.5
 
 
+def test_parse_sizes():
+    assert parse_sizes('["1/2", "1/3", "1", "0.25", "0"]') == (F(1, 2), F(1, 3), F(1), F(1, 4), F(0))
+    assert parse_sizes("[]") == ()
+    # the range is harmonic_pack's to check; parsing keeps any rational
+    assert parse_sizes('["3/2", "-1/3"]') == (F(3, 2), F(-1, 3))
+    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000, "not json", ""):
+        with pytest.raises(ValueError, match=re.escape('expected a JSON array of "p/q" strings')):
+            parse_sizes(text)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_sizes('["1e-300000"]')
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_sizes('["1/2", "half"]')
+
+
 def test_eval_text(capsys):
     assert run(["eval", "--k", "4", "--mu", "4/3", "--x", "2/7"]) == 0
     out = capsys.readouterr().out.strip()
@@ -66,6 +80,9 @@ def test_eval_domain_error(capsys):
         assert "error: k is above 10000," in capsys.readouterr().err
     assert run(["ip-opt", "--k", huge, "--mu", "3/2"]) == 0
     assert "method = closed" in capsys.readouterr().out
+    # the closed form's advice holds for --method as well as for solve()
+    assert run(["ip-opt", "--k", "3", "--mu", "1/2", "--method", "closed"]) == 1
+    assert capsys.readouterr().err == "error: no closed form for k >= 2 with mu < 1; use method brute\n"
     # 10**30 bundles of 3 items are refused before the instance is built
     assert run(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", huge]) == 1
     assert "exceed 100000 items" in capsys.readouterr().err
@@ -141,15 +158,18 @@ def test_huge_values_get_a_short_message(line, tmp_path, capsys):
 def test_import_leaves_heavy_modules_unloaded():
     # start-up is most of a typical call; dataclasses alone pulls in inspect,
     # ast, dis and tokenize. The modules new to sys.modules are compared, so
-    # whatever the interpreter loaded before the import does not count.
-    code = (
-        "import sys; before = set(sys.modules); import harmonic_knapsack.cli; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert "harmonic_knapsack.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
+    # whatever the interpreter loaded before the import does not count. Only
+    # cli reads outside text, so the library root loads no json either.
+    heavy = {"dataclasses", "inspect", "ast", "dis", "csv"}
+    for module, unloaded in (("harmonic_knapsack.cli", heavy), ("harmonic_knapsack", heavy | {"json"})):
+        code = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert module in loaded
+        assert not loaded & unloaded, module
 
 
 def test_usage_errors(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_knapsack.harmonic import HarmonicParams, classify, eval_fk, parse_sizes
+from harmonic_knapsack.harmonic import HarmonicParams, classify, eval_fk
 from helpers import profit
 
 F = Fraction
@@ -117,20 +117,6 @@ def test_monotone_for_small_slopes(k, x, y):
     p = HarmonicParams(k, mu)
     lo, hi = sorted((x, y))
     assert eval_fk(p, lo) <= eval_fk(p, hi)
-
-
-def test_parse_sizes():
-    assert parse_sizes('["1/2", "1/3", "1", "0.25", "0"]') == (F(1, 2), F(1, 3), F(1), F(1, 4), F(0))
-    assert parse_sizes("[]") == ()
-    # the range is harmonic_pack's to check; parsing keeps any rational
-    assert parse_sizes('["3/2", "-1/3"]') == (F(3, 2), F(-1, 3))
-    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000, "not json", ""):
-        with pytest.raises(ValueError, match=re.escape('expected a JSON array of "p/q" strings')):
-            parse_sizes(text)
-    with pytest.raises(ValueError, match="more than 4300 digits"):
-        parse_sizes('["1e-300000"]')
-    with pytest.raises(ValueError, match="not a rational"):
-        parse_sizes('["1/2", "half"]')
 
 
 def test_params_are_immutable_values():

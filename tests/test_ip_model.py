@@ -78,15 +78,6 @@ def test_cost_examples():
     assert cost((1, 2), HarmonicParams(3, F(3, 2))) == F(7, 6)
 
 
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        score((1, 1), HarmonicParams(4, F(4, 3)))
-    with pytest.raises(ValueError):
-        cost((0,), HarmonicParams(3, F(1)))
-    with pytest.raises(ValueError):
-        score((-1, 0, 0), HarmonicParams(4, F(1)))
-
-
 def test_is_feasible():
     # feasible means a cost strictly below 1, with no epsilon anywhere
     assert cost((1, 1, 0), HarmonicParams(4, F(4, 3))) < 1

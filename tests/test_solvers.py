@@ -78,7 +78,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_rejects_small_mu():
-    with pytest.raises(ValueError, match="solve_brute"):
+    with pytest.raises(ValueError, match="use method brute"):
         solve_closed_form(HarmonicParams(3, F(1, 2)))
 
 
