@@ -8,6 +8,13 @@ library returns exact values; every decimal printed is rendered here from
 the fraction next to it, never from a float, and every fraction in JSON is
 encoded by one json.dumps hook as {"num": "...", "den": "..."}.
 
+Each handler with a --format option builds its result once, as a JSON
+record, CSV columns and rows, and text lines; _emit alone picks which one
+to print. A CSV field is an integer, a fraction, a decimal, a method name,
+space-separated counts or "--", none of which holds a comma, a quote or a
+line break, so a plain comma join is the CSV that csv.writer would write.
+witness and simulate print JSON only.
+
 Exit codes: 0 success, 1 domain error (bad parameter ranges, infeasible
 inputs, unreadable files), 2 usage error (unknown flags, malformed values).
 """
@@ -129,11 +136,14 @@ def _dump_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2, default=_frac_json))
 
 
-def _dump_csv(header, rows) -> None:
-    import csv  # only csv output needs it; kept off the start-up path
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(args, record, columns, rows, lines) -> None:
+    """Print one result in args.format: record as JSON, columns and rows as CSV, or lines."""
+    if args.format == "json":
+        _dump_json(record)
+        return
+    if args.format == "csv":
+        lines = [",".join(map(str, row)) for row in [columns, *rows]]
+    print(*lines, sep="\n")
 
 
 def _int_arg(low=None, high=None, digits: int = MAX_DIGITS):
@@ -181,64 +191,45 @@ def _cmd_eval(args, parser) -> None:
     params = _params(args)
     value = eval_fk(params, args.x)
     decimal = to_decimal(value, args.digits)
-    if args.format == "json":
-        _dump_json({"k": params.k, "mu": params.mu, "x": args.x, "value": value, "decimal": decimal})
-    elif args.format == "csv":
-        _dump_csv(["value", "decimal"], [[value, decimal]])
-    else:
-        print(f"{value} = {decimal}")
+    record = {"k": params.k, "mu": params.mu, "x": args.x, "value": value, "decimal": decimal}
+    _emit(args, record, ["value", "decimal"], [[value, decimal]], [f"{value} = {decimal}"])
 
 
 def _cmd_ip_opt(args, parser) -> None:
     params = _params(args)
     outcome = solve(params, method=args.method)
     decimal = to_decimal(outcome.opt, args.digits)
-    report = outcome.report
-    # m = 0 (k = 1 or mu >= 2) is rendered as undefined: no class is in play
-    pieces = closed_form_pieces(params) if (args.explain or args.format == "json") else None
-    if pieces is not None and pieces[0] == 0:
-        pieces = None
-    if args.format == "json":
-        m, q, r_next, s_next = pieces or (None,) * 4
-        _dump_json(
-            {
-                "k": params.k,
-                "mu": params.mu,
-                "method": outcome.method,
-                "opt": outcome.opt,
-                "decimal": decimal,
-                "argmax": outcome.counts,
-                "feasible_count": report.feasible_count if report else None,
-                "nodes_visited": report.nodes_visited if report else None,
-                "m": m,
-                "q": q,
-                "r_next": str(r_next) if r_next is not None else None,
-                "s_next": s_next,
-            }
-        )
-    elif args.format == "csv":
-        argmax = " ".join(map(str, outcome.counts)) if outcome.counts is not None else ""
-        count = report.feasible_count if report else ""
-        _dump_csv(
-            ["opt", "decimal", "method", "argmax", "feasible_count"],
-            [[outcome.opt, decimal, outcome.method, argmax, count]],
-        )
-    else:
-        print(f"opt = {outcome.opt} = {decimal}")
-        print(f"method = {outcome.method}")
-        if outcome.counts is not None:
-            print(f"argmax = ({', '.join(map(str, outcome.counts))})")
-        if report is not None:
-            print(f"feasible_count = {report.feasible_count}")
-        if args.explain:
-            if pieces is None:
-                print("explain: m is undefined (needs k >= 2 and mu < 2)")
-            else:
-                m, q, r_next, s_next = pieces
-                print(f"m = {m}")
-                print(f"Q = {q}")
-                print(f"r[Q+1] = {r_next}")
-                print(f"S[Q+1] = {s_next} = {to_decimal(s_next, args.digits)}")
+    report, counts = outcome.report, outcome.counts
+    m, q, r_next, s_next = closed_form_pieces(params)
+    if m == 0:  # k = 1 or mu >= 2: no class is in play, so the pieces are undefined
+        m = q = r_next = s_next = None
+    record = {
+        "k": params.k,
+        "mu": params.mu,
+        "method": outcome.method,
+        "opt": outcome.opt,
+        "decimal": decimal,
+        "argmax": counts,
+        "feasible_count": report.feasible_count if report else None,
+        "nodes_visited": report.nodes_visited if report else None,
+        "m": m,
+        "q": q,
+        "r_next": str(r_next) if r_next is not None else None,
+        "s_next": s_next,
+    }
+    argmax = " ".join(map(str, counts)) if counts is not None else ""
+    row = [outcome.opt, decimal, outcome.method, argmax, report.feasible_count if report else ""]
+    lines = [f"opt = {outcome.opt} = {decimal}", f"method = {outcome.method}"]
+    if counts is not None:
+        lines.append(f"argmax = ({', '.join(map(str, counts))})")
+    if report is not None:
+        lines.append(f"feasible_count = {report.feasible_count}")
+    if args.explain and m is None:
+        lines.append("explain: m is undefined (needs k >= 2 and mu < 2)")
+    elif args.explain:
+        lines += [f"m = {m}", f"Q = {q}", f"r[Q+1] = {r_next}"]
+        lines.append(f"S[Q+1] = {s_next} = {to_decimal(s_next, args.digits)}")
+    _emit(args, record, ["opt", "decimal", "method", "argmax", "feasible_count"], [row], lines)
 
 
 def _cmd_table(args, parser) -> None:
@@ -256,16 +247,11 @@ def _cmd_table(args, parser) -> None:
         mu = mu_for(args.family, k)
         opt = solve(HarmonicParams(k, mu)).opt
         rows.append((k, mu, opt, to_decimal(opt, args.digits)))
-    if args.format == "json":
-        _dump_json({"family": args.family, "rows": [dict(zip(columns, row)) for row in rows]})
-        return
+    record = {"family": args.family, "rows": [dict(zip(columns, row)) for row in rows]}
     text_rows = [["--" if cell is None else str(cell) for cell in row] for row in rows]
-    if args.format == "csv":
-        _dump_csv(columns, text_rows)
-        return
     widths = [max(map(len, cells)) for cells in zip(columns, *text_rows)]
-    for row in [columns, *text_rows]:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [columns, *text_rows]]
+    _emit(args, record, columns, text_rows, lines)
 
 
 def _cmd_sylvester(args, parser) -> None:
@@ -275,13 +261,8 @@ def _cmd_sylvester(args, parser) -> None:
         (j, str(r), s, to_decimal(s, args.digits))
         for j, (r, s) in enumerate(islice(sylvester_rows(), args.count), start=1)
     ]
-    if args.format == "json":
-        _dump_json({"rows": [dict(zip(columns, row)) for row in rows]})
-    elif args.format == "csv":
-        _dump_csv(columns, rows)
-    else:
-        for row in rows:
-            print("  ".join(map(str, row)))
+    record = {"rows": [dict(zip(columns, row)) for row in rows]}
+    _emit(args, record, columns, rows, ["  ".join(map(str, row)) for row in rows])
 
 
 def _cmd_limit(args, parser) -> None:
@@ -294,15 +275,13 @@ def _cmd_limit(args, parser) -> None:
         "upper_decimal": to_decimal(bracket.upper, args.digits),
         "width": bracket.width,
     }
-    if args.format == "json":
-        _dump_json(fields)
-    elif args.format == "csv":
-        _dump_csv(fields.keys(), [fields.values()])
-    else:
-        print(f"terms = {bracket.t}")
-        print(f"lower = {bracket.lower} = {fields['lower_decimal']}")
-        print(f"upper = {bracket.upper} = {fields['upper_decimal']}")
-        print(f"width = {bracket.width} = {to_decimal(bracket.width, args.digits)}")
+    lines = [
+        f"terms = {bracket.t}",
+        f"lower = {bracket.lower} = {fields['lower_decimal']}",
+        f"upper = {bracket.upper} = {fields['upper_decimal']}",
+        f"width = {bracket.width} = {to_decimal(bracket.width, args.digits)}",
+    ]
+    _emit(args, fields, fields, [fields.values()], lines)
 
 
 def _cmd_witness(args, parser) -> None:
@@ -315,7 +294,7 @@ def _cmd_simulate(args, parser) -> None:
         with open(args.items, "r", encoding="utf-8") as fh:
             items = parse_sizes(fh.read())
     else:
-        items = adversarial_instance(params, args.adversarial, args.eps).items
+        items = adversarial_instance(params, args.adversarial, args.eps)
     if args.shuffle is not None:
         import random  # only --shuffle needs it; kept off the start-up path
         items = list(items)

@@ -202,6 +202,7 @@ def test_usage_errors(capsys):
         (["sylvester", "--count", "0"], "--count: must be >= 1"),
         (["sylvester", "--count", "16"], "--count: must be <= 15"),
         (["sylvester", "--count", "24"], "--count: must be <= 15"),
+        (["limit", "--terms", "1.5"], "--terms: not an integer"),
     ):
         assert run(argv) == 2
         assert message in capsys.readouterr().err
@@ -362,6 +363,86 @@ def test_limit_output(capsys):
     assert out.count(LIMIT_15) == 2
     assert run(["limit", "--terms", "13"]) == 1
     capsys.readouterr()
+
+
+def _frac(num, den):
+    return {"num": str(num), "den": str(den)}
+
+
+# One command per subcommand that has formats, with its exact stdout in
+# text, CSV and JSON. The JSON is pinned as the object json.dumps renders
+# with sorted keys and an indent of 2.
+OUTPUT_GOLDENS = {
+    "eval --k 4 --mu 4/3 --x 2/7": (
+        "1/3 = 0.33333333\n",
+        "value,decimal\n1/3,0.33333333\n",
+        {"decimal": "0.33333333", "k": 4, "mu": _frac(4, 3), "value": _frac(1, 3), "x": _frac(2, 7)},
+    ),
+    "ip-opt --k 4 --mu 4/3 --method brute --explain": (
+        "opt = 31/18 = 1.72222222\nmethod = brute\nargmax = (1, 1, 0)\nfeasible_count = 12\n"
+        "m = 2\nQ = 2\nr[Q+1] = 6\nS[Q+1] = 5/3 = 1.66666667\n",
+        "opt,decimal,method,argmax,feasible_count\n31/18,1.72222222,brute,1 1 0,12\n",
+        {
+            "argmax": [1, 1, 0], "decimal": "1.72222222", "feasible_count": 12, "k": 4, "m": 2,
+            "method": "brute", "mu": _frac(4, 3), "nodes_visited": 24, "opt": _frac(31, 18), "q": 2,
+            "r_next": "6", "s_next": _frac(5, 3),
+        },
+    ),
+    "ip-opt --k 10 --mu 80/71 --method closed": (
+        "opt = 2525/1491 = 1.69349430\nmethod = closed\n",
+        "opt,decimal,method,argmax,feasible_count\n2525/1491,1.69349430,closed,,\n",
+        {
+            "argmax": None, "decimal": "1.69349430", "feasible_count": None, "k": 10, "m": 7,
+            "method": "closed", "mu": _frac(80, 71), "nodes_visited": None, "opt": _frac(2525, 1491),
+            "q": 3, "r_next": "42", "s_next": _frac(71, 42),
+        },
+    ),
+    "table --family caprara --k-min 2 --k-max 4": (
+        "k  mu  opt  decimal   \n2  --  --   --        \n3  3   3    3.00000000\n4  2   2    2.00000000\n",
+        "k,mu,opt,decimal\n2,--,--,--\n3,3,3,3.00000000\n4,2,2,2.00000000\n",
+        {
+            "family": "caprara",
+            "rows": [
+                {"decimal": None, "k": 2, "mu": None, "opt": None},
+                {"decimal": "3.00000000", "k": 3, "mu": _frac(3, 1), "opt": _frac(3, 1)},
+                {"decimal": "2.00000000", "k": 4, "mu": _frac(2, 1), "opt": _frac(2, 1)},
+            ],
+        },
+    ),
+    "sylvester --count 3": (
+        "1  1  1  1.000000000000000\n2  2  3/2  1.500000000000000\n3  6  5/3  1.666666666666667\n",
+        "j,r,s,decimal\n1,1,1,1.000000000000000\n2,2,3/2,1.500000000000000\n3,6,5/3,1.666666666666667\n",
+        {
+            "rows": [
+                {"decimal": "1.000000000000000", "j": 1, "r": "1", "s": _frac(1, 1)},
+                {"decimal": "1.500000000000000", "j": 2, "r": "2", "s": _frac(3, 2)},
+                {"decimal": "1.666666666666667", "j": 3, "r": "6", "s": _frac(5, 3)},
+            ]
+        },
+    ),
+    "limit --terms 3": (
+        "terms = 3\nlower = 5/3 = 1.666666666666667\nupper = 31/18 = 1.722222222222222\n"
+        "width = 1/18 = 0.055555555555556\n",
+        "terms,lower,lower_decimal,upper,upper_decimal,width\n"
+        "3,5/3,1.666666666666667,31/18,1.722222222222222,1/18\n",
+        {
+            "lower": _frac(5, 3), "lower_decimal": "1.666666666666667", "terms": 3, "upper": _frac(31, 18),
+            "upper_decimal": "1.722222222222222", "width": _frac(1, 18),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("line", OUTPUT_GOLDENS)
+def test_output_goldens(line, capsys):
+    text, csv_text, record = OUTPUT_GOLDENS[line]
+    json_text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    for fmt, expected in (("text", text), ("csv", csv_text), ("json", json_text)):
+        assert run([*line.split(), "--format", fmt]) == 0
+        assert capsys.readouterr() == (expected, ""), fmt
+    # text is the default format
+    assert run(line.split()) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_witness_roundtrip(capsys):
