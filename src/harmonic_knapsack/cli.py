@@ -1,7 +1,8 @@
 """Command-line front end: the one place that reads outside text and renders output.
 
 Outside text is the options, the rationals of --mu, --x and --eps, and the
---items files; each digit bound on it follows from CPython's 4300-digit limit.
+--items files. One ASCII pattern, _NUMBER, decides every number in it alike on
+every Python version; each digit bound follows from CPython's 4300-digit limit.
 
 Subcommands: eval, ip-opt, table, sylvester, limit, witness, simulate. The
 library returns exact values; every decimal printed is rendered here from
@@ -44,7 +45,11 @@ LIMIT_DIGITS = 15
 # MAX_COUNT and MAX_K_DIGITS below are set so that what they admit still prints.
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
-_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.IGNORECASE)
+# [sign]digits/digits or [sign][digits][.digits][e[sign]digits] in ASCII, blanks only
+# around the text; an integer is a match whose last group is "num"
+_NUMBER = re.compile(r"\s*[-+]?(?=\.?[0-9])(?P<num>[0-9]*)(?:/(?P<den>[0-9]+)|"
+                     r"(?:\.(?P<frac>[0-9]*))?(?:[eE](?P<exp>[-+]?[0-9]+))?)\s*", re.ASCII)
+_DIGIT_RUN = re.compile("[0-9]+")
 # the longest walk whose terms CPython still prints (term 16 has 6671 digits)
 MAX_COUNT = 15
 # a table row costs well under a millisecond at small k; rows are buffered
@@ -61,32 +66,28 @@ RATIONAL_OPTIONS = ("--mu", "--x", "--eps")
 def parse_rational(text: str) -> Fraction:
     """Exact rational from "p/q", an integer, or a finite decimal such as 1.75 or 2e-3.
 
-    Numerator and denominator may have at most MAX_DIGITS digits each. The
-    exponent is checked before Fraction builds 10**exponent from it: the
+    Numerator, denominator and each run of digits have at most MAX_DIGITS
+    digits. The exponent is checked before Fraction builds 10**exponent: the
     mantissa has fewer than len(text) digits to cancel, so an exponent beyond
-    MAX_DIGITS + len(text) can only give a longer result. A run of more than
-    MAX_DIGITS digits, which Fraction refuses as if bad syntax, is too long.
+    MAX_DIGITS + len(text) can only give a longer result.
     """
-    exponent = _EXPONENT.search(text)
-    try:
-        fits = exponent is None or abs(int(exponent.group(1))) <= MAX_DIGITS + len(text)
-        value = Fraction(text) if fits else None
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
-    except ValueError:
-        if not any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", text)):
-            raise ValueError("not a rational") from None
-        value = None
-    if value is None or abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
-        raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
-    return value
+    if all(len(run) <= MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        if (match := _NUMBER.fullmatch(text)) is None:
+            raise ValueError("not a rational")
+        if match["den"] and not int(match["den"]):
+            raise ValueError("zero denominator")
+        if abs(int(match["exp"] or 0)) <= MAX_DIGITS + len(text):
+            value = Fraction(text)
+            if abs(value.numerator) < _TOO_LONG and value.denominator < _TOO_LONG:
+                return value
+    raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
 
 
 def parse_sizes(text: str) -> tuple[Fraction, ...]:
     """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep to decode
+    except (ValueError, RecursionError):  # not JSON, an int past CPython's limit, or nested too deep
         raw = None
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise ValueError('expected a JSON array of "p/q" strings')
@@ -104,15 +105,14 @@ def parse_rational_arg(s: str) -> Fraction:
 def _join_negative_rationals(argv: list[str]) -> list[str]:
     """`--eps -1/3` becomes `--eps=-1/3`, so both spellings reach the value check.
 
-    Only a word that starts with "-" and then a digit or "." is joined, and
-    only to a rational option or an abbreviation of one.
+    Only a word that starts with "-" and then an ASCII digit or "." is joined,
+    and only to a rational option or an abbreviation of one.
     """
     out: list[str] = []
     for word in argv:
         prev = out[-1] if out else ""
         if (
-            word[:1] == "-"
-            and (word[1:2].isdigit() or word[1:2] == ".")
+            re.match("-[0-9.]", word)
             and len(prev) > 2
             and any(name.startswith(prev) for name in RATIONAL_OPTIONS)
         ):
@@ -154,12 +154,11 @@ def _int_arg(low=None, high=None, digits: int = MAX_DIGITS):
     """
 
     def parse(s: str) -> int:
-        if sum(map(str.isdigit, s)) > digits:
+        if sum(map(len, _DIGIT_RUN.findall(s))) > digits:
             raise argparse.ArgumentTypeError(f"must have at most {digits} digits")
-        try:
-            value = int(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError("not an integer") from None
+        if (match := _NUMBER.fullmatch(s)) is None or match.lastgroup != "num":
+            raise argparse.ArgumentTypeError("not an integer")
+        value = int(s)
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
         if high is not None and value > high:

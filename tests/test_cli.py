@@ -26,6 +26,15 @@ def test_parse_rational_arg():
         parse_rational_arg("abc")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_rational_arg("1/0")
+    # one ASCII grammar on every Python: blanks only around the text, no
+    # underscores, no digits or blanks from outside ASCII
+    for text, value in ((" 1/2 ", F(1, 2)), ("\t2\n", F(2)), ("1.", F(1)), (".5", F(1, 2)), ("-.5e1", F(-5)),
+                        ("+1/2", F(1, 2)), ("1E3", F(1000))):
+        assert parse_rational_arg(text) == value
+    for text in ("1_0/3", "1e1_0", "1/ 2", "1 /2", "٣/9", "１/2", "\xa01/2", "1/2\u2003",
+                 "", ".", "/2", "1/2e3", "e99999"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not a rational"):
+            parse_rational_arg(text)
     # at most 4300 digits a side, checked before 10**exponent is built
     assert parse_rational_arg("1e4299") == 10**4299
     assert parse_rational_arg("100e-4301") == F(1, 10**4299)
@@ -48,7 +57,7 @@ def test_parse_sizes():
     assert parse_sizes("[]") == ()
     # the range is harmonic_pack's to check; parsing keeps any rational
     assert parse_sizes('["3/2", "-1/3"]') == (F(3, 2), F(-1, 3))
-    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000, "not json", ""):
+    for text in ("{}", '"1/2"', "[1, 2]", '[["1/2"]]', "[" * 100_000, "not json", "", "[" + "1" * 5000 + "]"):
         with pytest.raises(ValueError, match=re.escape('expected a JSON array of "p/q" strings')):
             parse_sizes(text)
     with pytest.raises(ValueError, match="more than 4300 digits"):
@@ -203,11 +212,16 @@ def test_usage_errors(capsys):
         (["sylvester", "--count", "16"], "--count: must be <= 15"),
         (["sylvester", "--count", "24"], "--count: must be <= 15"),
         (["limit", "--terms", "1.5"], "--terms: not an integer"),
+        (["ip-opt", "--k", "1_0", "--mu", "1/2"], "--k: not an integer"),
+        (["ip-opt", "--k", "٤", "--mu", "1/2"], "--k: not an integer"),
+        (["eval", "--k", "4", "--mu", "1_0/3", "--x", "1/2"], "--mu: not a rational"),
     ):
         assert run(argv) == 2
         assert message in capsys.readouterr().err
     assert run(["limit", "--terms", "12", "--digits", "4300"]) == 0
     capsys.readouterr()
+    assert run(["ip-opt", "--k", " 4 ", "--mu", "1/2"]) == 0
+    assert capsys.readouterr().out.startswith("opt = 19/12 = ")
     # a table has k >= 1 and between 1 and 1000 rows, refused before any work
     for argv, message in (
         (["--k-min", "0", "--k-max", "3"], "--k-min: must be >= 1"),
@@ -555,8 +569,11 @@ def test_module_entry_point():
 # Option values for the fuzz test: edge cases, huge and malformed input. The
 # pools keep every call short: no table range reaches past k = 12 except
 # through a 2501-digit bound, which is refused.
-INTS = ["0", "-1", "1", "3", "12", str(10**30), str(10**2500)]
-RATIONALS = ["0", "-1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301, "1/" + "3" * 4301]
+INTS = ["0", "-1", "1", "3", "12", str(10**30), str(10**2500), "1_0", "٤", " 4 "]
+RATIONALS = [
+    "0", "-1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301, "1/" + "3" * 4301,
+    "1_0/3", "1/ 2", "٣/9", " 1/2 ",
+]
 EPS = ["1/100", "3", "1e-300000"]
 SLOPES = [[], ["--mu", "1/2"], ["--mu", "3"], ["--mu", "7" * 4301], ["--family", "lee"], ["--family", "caprara"]]
 COMMANDS = {
@@ -574,7 +591,7 @@ COMMANDS = {
     "witness": lambda pick: ["--k", pick(INTS), *pick(SLOPES), "--eps", pick(EPS)],
     "simulate": lambda pick: [
         "--k", pick(INTS), *pick(SLOPES), "--adversarial", pick(["-1", "3", str(10**30)]),
-        "--eps", pick(EPS),
+        "--eps", pick(EPS), *pick([[], ["--shuffle", "7"], ["--shuffle", "-1"]]),
     ],
 }
 
