@@ -9,6 +9,10 @@ scores that vector exactly. With k = 1 (no classes) or mu >= 2 (every
 coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
 and both routes give mu, the score of the all-zero vector.
 Both routes are checked against the exhaustive solver in the tests.
+
+For k >= 2 and mu < 1 no closed form applies; solve's auto route sends that
+corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
+check against the exhaustive solver and against committed optima past its cap.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
-from .ip_model import IpSolution, SolveReport, score, solve_brute, zero_counts
+from .ip_model import IpSolution, SolveReport, score, solve_bnb, solve_brute, zero_counts
 from .sylvester import sylvester_rows
 
 __all__ = [
@@ -33,7 +37,11 @@ __all__ = [
 
 
 class SolveOutcome(NamedTuple):
-    """Optimal (or greedy) score together with which route produced it."""
+    """Optimal (or greedy) score together with which route produced it.
+
+    counts is the vector reaching opt (greedy, brute and bnb); report is the
+    exhaustive run's SolveReport (brute only).
+    """
 
     opt: Fraction
     method: str
@@ -94,13 +102,18 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
 
 
 def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
-    """Dispatch to a solver.
+    """Dispatch to a solver: auto, brute, closed or greedy.
 
-    auto prefers the closed form and falls back to exhaustive search only in
-    the k >= 2, mu < 1 corner the closed form does not cover.
+    auto prefers the closed form. In the k >= 2, mu < 1 corner the closed
+    form does not cover it runs the branch-and-bound search instead, which
+    accepts k up to ip_model.BNB_CAP, and returns method "bnb" with the
+    lexicographically smallest maximizer as counts and no report.
     """
     if method == "auto":
-        method = "brute" if (params.k >= 2 and params.mu < 1) else "closed"
+        if params.k >= 2 and params.mu < 1:
+            result = solve_bnb(params)
+            return SolveOutcome(result.opt, "bnb", counts=result.argmax)
+        return solve_closed_form(params)
     if method == "brute":
         report = solve_brute(params)
         return SolveOutcome(report.opt, "brute", counts=report.argmax, report=report)

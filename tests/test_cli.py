@@ -309,6 +309,13 @@ def test_brute_cap_env(capsys):
     assert "exhaustive-search cap 14" in capsys.readouterr().err
 
 
+def test_bnb_cap(capsys):
+    assert run(["ip-opt", "--k", "1000", "--mu", "1/2"]) == 0
+    assert "method = bnb" in capsys.readouterr().out
+    assert run(["ip-opt", "--k", "1001", "--mu", "1/2"]) == 1
+    assert capsys.readouterr().err == "error: k exceeds the branch-and-bound cap 1000\n"
+
+
 def test_table_matches_reference(capsys):
     for family, cells in TABLE_OPT.items():
         lo, hi = min(cells), max(cells)
@@ -399,6 +406,15 @@ OUTPUT_GOLDENS = {
         {
             "argmax": [1, 1, 0], "decimal": "1.72222222", "feasible_count": 12, "k": 4, "m": 2,
             "method": "brute", "mu": _frac(4, 3), "nodes_visited": 24, "opt": _frac(31, 18), "q": 2,
+            "r_next": "6", "s_next": _frac(5, 3),
+        },
+    ),
+    "ip-opt --k 3 --mu 1/2": (
+        "opt = 19/12 = 1.58333333\nmethod = bnb\nargmax = (1, 1)\n",
+        "opt,decimal,method,argmax,feasible_count\n19/12,1.58333333,bnb,1 1,\n",
+        {
+            "argmax": [1, 1], "decimal": "1.58333333", "feasible_count": None, "k": 3, "m": 2,
+            "method": "bnb", "mu": _frac(1, 2), "nodes_visited": None, "opt": _frac(19, 12), "q": 2,
             "r_next": "6", "s_next": _frac(5, 3),
         },
     ),
@@ -605,6 +621,8 @@ def cli_argv(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cli_argv())
 @example(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", str(10**30)])
+@example(["ip-opt", "--k", "1000", "--mu", "1/2"])
+@example(["ip-opt", "--k", "1001", "--mu", "1/2"])
 def test_cli_fuzz_exits_cleanly_and_quickly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

@@ -5,9 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import SolveReport, cost, score, solve_brute
+from harmonic_knapsack.ip_model import BNB_CAP, SolveReport, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.solvers import greedy_solution, solve_closed_form
+from reference_values import BEYOND_BRUTE_CAP
 
 F = Fraction
 
@@ -228,3 +232,64 @@ def test_cap_enforced():
         solve_brute(HarmonicParams(15, F(3, 2)))
     with pytest.raises(ValueError, match="cap"):
         solve_brute(HarmonicParams(20, F(1)))
+
+
+def test_solve_bnb_matches_solve_brute_below_one():
+    # opt and the lexicographically smallest argmax on all 1,040 cases
+    # k = 2..14, mu = a/b < 1 with b <= 16
+    slopes = sorted({F(a, b) for b in range(1, 17) for a in range(b)})
+    for k in range(2, 15):
+        for mu in slopes:
+            params = HarmonicParams(k, mu)
+            rep = solve_brute(params)
+            assert solve_bnb(params)[:2] == (rep.opt, rep.argmax), (k, mu)
+
+
+def test_solve_bnb_matches_committed_optima_past_the_brute_cap():
+    for k, by_mu in BEYOND_BRUTE_CAP.items():
+        for mu, (opt, classes) in by_mu.items():
+            argmax = tuple(classes.get(j, 0) for j in range(1, k))
+            assert solve_bnb(HarmonicParams(k, mu))[:2] == (opt, argmax), (k, mu)
+
+
+def test_solve_bnb_matches_closed_form_and_greedy_from_one():
+    slopes = sorted({F(a, b) for b in range(1, 7) for a in range(b, 5 * b // 2 + 1)})
+    for k in [*range(1, 41), 64, 100, 128, 200]:
+        for mu in slopes:
+            if mu > k:
+                continue
+            params = HarmonicParams(k, mu)
+            rep = solve_bnb(params)
+            assert rep.opt == solve_closed_form(params).opt == greedy_solution(params)[1], (k, mu)
+            assert cost(rep.argmax, params) < 1 and score(rep.argmax, params) == rep.opt, (k, mu)
+
+
+@st.composite
+def small_params(draw):
+    k = draw(st.integers(1, 14))
+    b = draw(st.integers(1, 60))
+    return HarmonicParams(k, F(draw(st.integers(0, b * min(k, 3))), b))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(small_params())
+def test_solve_bnb_agrees_with_the_other_routes(params):
+    rep = solve_bnb(params)
+    brute = solve_brute(params)
+    assert (rep.opt, rep.argmax) == (brute.opt, brute.argmax)
+    if params.mu >= 1 or params.k == 1:
+        assert rep.opt == solve_closed_form(params).opt == greedy_solution(params)[1]
+
+
+def test_solve_bnb_prunes():
+    # the full tree at k = 14 has 237,931 nodes
+    assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 29
+    assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), (), 0)
+
+
+def test_bnb_cap_enforced():
+    with pytest.raises(ValueError, match="branch-and-bound cap"):
+        solve_bnb(HarmonicParams(BNB_CAP + 1, F(1, 2)))
+    # refused before lcm(1..k) is built
+    with pytest.raises(ValueError, match="branch-and-bound cap"):
+        solve_bnb(HarmonicParams(10**30, F(1, 2)))

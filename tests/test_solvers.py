@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import MAX_VECTOR_K, cost, score, solve_brute
+from harmonic_knapsack.ip_model import BNB_CAP, MAX_VECTOR_K, cost, score, solve_brute
 from harmonic_knapsack.solvers import (
     closed_form_pieces,
     compute_m,
@@ -243,7 +244,7 @@ def test_solve_dispatch():
     out = solve(HarmonicParams(12, F(12, 11)), method="auto")
     assert (out.opt, out.method) == (F(391, 231), "closed")
     out = solve(HarmonicParams(3, F(1, 2)), method="auto")
-    assert (out.opt, out.method) == (solve_brute(HarmonicParams(3, F(1, 2))).opt, "brute")
+    assert (out.opt, out.method) == (solve_brute(HarmonicParams(3, F(1, 2))).opt, "bnb")
     out = solve(HarmonicParams(1, F(0)), method="auto")
     assert (out.opt, out.method) == (F(0), "closed")
     out = solve(HarmonicParams(4, F(4, 3)), method="greedy")
@@ -254,6 +255,8 @@ def test_solve_dispatch():
 
 def test_results_expose_their_fields():
     out = solve(HarmonicParams(3, F(1, 2)))
+    assert (out.opt, out.method, out.counts, out.report) == (F(19, 12), "bnb", (1, 1), None)
+    out = solve(HarmonicParams(3, F(1, 2)), method="brute")
     assert (out.opt, out.method, out.counts) == (F(19, 12), "brute", (1, 1))
     report = out.report
     assert (report.opt, report.argmax, report.feasible_count, report.nodes_visited) == (F(19, 12), (1, 1), 5, 8)
@@ -261,3 +264,18 @@ def test_results_expose_their_fields():
     assert (out.opt, out.method, out.counts, out.report) == (F(31, 18), "closed", None, None)
     with pytest.raises(AttributeError):
         out.opt = F(0)
+
+
+def test_auto_below_one_up_to_the_cap_within_budget():
+    # 46 slopes mu = a/b < 1 with b <= 12 at the largest k auto accepts below
+    # mu = 1; each takes a few ms on a 2-vCPU VM, so 5 s is a wide budget
+    slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
+    start = time.perf_counter()
+    for mu in slopes:
+        params = HarmonicParams(BNB_CAP, mu)
+        out = solve(params)
+        assert out.method == "bnb" and out.report is None
+        assert cost(out.counts, params) < 1 and score(out.counts, params) == out.opt
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(ValueError, match="branch-and-bound cap"):
+        solve(HarmonicParams(BNB_CAP + 1, F(1, 2)))
