@@ -6,8 +6,9 @@ strictly below 1; that bound forces counts[j-1] <= j, so the search space has
 at most k! leaves. Its score is mu + sum counts[j-1]*(1/j - mu/(j+1)).
 solve_brute maximizes the score by depth-first enumeration in lexicographic
 order with prefix-cost pruning. Prefixes of equal load share their subtree,
-so each (position, load) subtree is solved once per call; nodes_visited
-still counts the full tree. solve_bnb reaches the same opt and argmax by
+so each (position, load) subtree is solved once per call, and a last-class
+subtree is one rule: the largest count that fits. nodes_visited still
+counts the full tree. solve_bnb reaches the same opt and argmax by
 depth-first branch-and-bound with Dantzig's LP bound; it visits 29 nodes at
 k = 14, mu = 1/2, where the full tree has 237,931, so it serves far larger k.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
 
@@ -29,7 +30,6 @@ __all__ = [
     "BNB_CAP",
     "BRUTE_CAP",
     "MAX_VECTOR_K",
-    "BnbReport",
     "IpSolution",
     "SolveReport",
     "score",
@@ -42,9 +42,10 @@ __all__ = [
 IpSolution = tuple[int, ...]
 
 # Largest k the exhaustive search accepts. Shared subtrees are solved once,
-# so k = 14 takes about 7 ms on a 2-vCPU VM under CPython 3.11, and each
-# further step multiplies that by 2 to 2.5 (k = 17: about 60 ms). The closed
-# form covers large k.
+# so k = 14 takes about 9-12 ms (best of 5) on a 2-vCPU VM under CPython
+# 3.11, and each further step multiplies that by 1.7 to 2.7 (k = 17: about
+# 110 ms). solve's auto route runs branch-and-bound below mu = 1 and the
+# closed form elsewhere, so this search serves only method brute and tests.
 BRUTE_CAP = 14
 
 # Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
@@ -61,19 +62,11 @@ MAX_VECTOR_K = 10_000
 
 
 class SolveReport(NamedTuple):
-    """Outcome of one exhaustive run."""
+    """Outcome of one search run; branch-and-bound counts no feasible vectors (None)."""
 
     opt: Fraction
     argmax: IpSolution
-    feasible_count: int
-    nodes_visited: int
-
-
-class BnbReport(NamedTuple):
-    """Outcome of one branch-and-bound run; it counts no feasible vectors."""
-
-    opt: Fraction
-    argmax: IpSolution
+    feasible_count: Optional[int]
     nodes_visited: int
 
 
@@ -126,9 +119,10 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     load) state once and keeps its summary in a per-call memo: the best
     suffix gain, the first value at that position reaching it, and the
     feasible and node counts of the subtree. The counts of shared subtrees
-    are added, not walked again. The last class needs no memo: the largest
-    count that fits is one division. The argmax is rebuilt from the stored
-    first-best values, and the memo is released before returning.
+    are added, not walked again. A last-class state is summarized by one
+    division, the largest count that fits, so it is recomputed rather than
+    stored. The argmax is rebuilt from the first-best values, and the memo
+    is released before returning.
     """
     if params.k > BRUTE_CAP:
         raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
@@ -137,70 +131,49 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     if k == 1:  # no class to fill: the empty vector is the only leaf
         return SolveReport(Fraction(base, m_scale), (), 1, 0)
     last = k - 2
-    last_step = steps[last]
-    last_gain = max(gains[last], 0)  # a class that gains nothing stays empty
-
-    def tail(load: int) -> tuple[int, int, int, int]:
-        """The summary of a last-class state: counts 0..top fit, then a cutoff node if top < k - 1."""
-        top = min(k - 1, (d - 1 - load) // last_step)
-        value = top if last_gain else 0
-        return value * last_gain, value, top + 1, top + 1 + (top < k - 1)
-
-    memo: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(last)]
+    # one dict per class; the last class's stays empty
+    memo: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(k - 1)]
 
     def subtree(pos: int, load: int) -> tuple[int, int, int, int]:
         """(best suffix gain, first best value at pos, feasible, nodes) for (pos, load)."""
         step, gain = steps[pos], gains[pos]
+        if pos == last:
+            # counts 0..top fit (step is d/k, so top <= k - 1), then a cutoff
+            # node if top < k - 1; a class that gains nothing stays empty
+            top = (d - 1 - load) // step
+            value = top if gain > 0 else 0
+            return value * gain, value, top + 1, top + 1 + (top < k - 1)
+        below = memo[pos + 1]
         # value 0 always fits and its suffix gain is >= 0, so it replaces -1
         best, choice, feasible, nodes = -1, 0, 0, 0
-        if pos + 1 == last:
-            for value in range(pos + 2):
-                new_load = load + value * step
-                if new_load >= d:
-                    nodes += 1
-                    break
-                # tail(new_load), inlined: this loop runs most often
-                top = (d - 1 - new_load) // last_step
-                if top < k - 1:
-                    nodes += top + 3
-                else:
-                    top = k - 1
-                    nodes += k + 1
-                feasible += top + 1
-                total = value * gain + top * last_gain
-                if total > best:
-                    best, choice = total, value
-        else:
-            below = memo[pos + 1]
-            for value in range(pos + 2):
-                nodes += 1
-                new_load = load + value * step
-                if new_load >= d:
-                    break
-                sub_best, _, sub_feasible, sub_nodes = below.get(new_load) or subtree(pos + 1, new_load)
-                total = value * gain + sub_best
-                if total > best:
-                    best, choice = total, value
-                feasible += sub_feasible
-                nodes += sub_nodes
+        for value in range(pos + 2):
+            nodes += 1
+            new_load = load + value * step
+            if new_load >= d:
+                break
+            sub_best, _, sub_feasible, sub_nodes = below.get(new_load) or subtree(pos + 1, new_load)
+            total = value * gain + sub_best
+            if total > best:
+                best, choice = total, value
+            feasible += sub_feasible
+            nodes += sub_nodes
         summary = memo[pos][load] = (best, choice, feasible, nodes)
         return summary
 
-    best, _, n_feasible, nodes = subtree(0, 0) if last else tail(0)
+    best, _, n_feasible, nodes = subtree(0, 0)
     argmax = []
     load = 0
-    for pos in range(last):
-        value = memo[pos][load][1]
+    for pos in range(k - 1):
+        value = (memo[pos].get(load) or subtree(pos, load))[1]
         argmax.append(value)
         load += value * steps[pos]
-    argmax.append(tail(load)[1])
     # subtree refers to itself, so it and memo form a cycle that only the
     # cyclic collector would free; drop the summaries now
     memo.clear()
     return SolveReport(Fraction(base + best, m_scale), tuple(argmax), n_feasible, nodes)
 
 
-def solve_bnb(params: HarmonicParams) -> BnbReport:
+def solve_bnb(params: HarmonicParams) -> SolveReport:
     """Maximize the score by depth-first branch-and-bound; same opt and argmax as solve_brute.
 
     Classes are fixed in order j = 1, 2, ..., each trying its counts from
@@ -284,4 +257,4 @@ def solve_bnb(params: HarmonicParams) -> BnbReport:
     argmax = [0] * (params.k - 1)
     for i, value in best_path:
         argmax[i] = value
-    return BnbReport(Fraction(base + best, m_scale), tuple(argmax), nodes)
+    return SolveReport(Fraction(base + best, m_scale), tuple(argmax), None, nodes)

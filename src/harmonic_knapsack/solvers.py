@@ -75,10 +75,10 @@ def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     """Optimal score without enumeration.
 
     Never materializes a count vector, so it works for astronomically large
-    k. For k >= 2 with mu < 1 no closed form is claimed; use method brute.
+    k. For k >= 2 with mu < 1 no closed form is claimed; use method auto.
     """
     if params.k >= 2 and params.mu < 1:
-        raise ValueError("no closed form for k >= 2 with mu < 1; use method brute")
+        raise ValueError("no closed form for k >= 2 with mu < 1; use method auto")
     _, _, r_next, s_next = closed_form_pieces(params)
     return SolveOutcome(s_next + (params.mu - 1) / r_next, "closed")
 

@@ -91,7 +91,7 @@ def test_eval_domain_error(capsys):
     assert "method = closed" in capsys.readouterr().out
     # the closed form's advice holds for --method as well as for solve()
     assert run(["ip-opt", "--k", "3", "--mu", "1/2", "--method", "closed"]) == 1
-    assert capsys.readouterr().err == "error: no closed form for k >= 2 with mu < 1; use method brute\n"
+    assert capsys.readouterr().err == "error: no closed form for k >= 2 with mu < 1; use method auto\n"
     # 10**30 bundles of 3 items are refused before the instance is built
     assert run(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", huge]) == 1
     assert "exceed 100000 items" in capsys.readouterr().err

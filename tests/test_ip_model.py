@@ -284,7 +284,7 @@ def test_solve_bnb_agrees_with_the_other_routes(params):
 def test_solve_bnb_prunes():
     # the full tree at k = 14 has 237,931 nodes
     assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 29
-    assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), (), 0)
+    assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), (), None, 0)
 
 
 def test_bnb_cap_enforced():

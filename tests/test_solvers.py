@@ -79,7 +79,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_rejects_small_mu():
-    with pytest.raises(ValueError, match="use method brute"):
+    with pytest.raises(ValueError, match="use method auto"):
         solve_closed_form(HarmonicParams(3, F(1, 2)))
 
 
