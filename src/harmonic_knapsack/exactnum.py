@@ -22,10 +22,10 @@ def to_decimal(value, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    value = Fraction(value)
+    num, den = (value if isinstance(value, Fraction) else Fraction(value)).as_integer_ratio()
     scale = 10**digits
-    units, rem = divmod(abs(value.numerator) * scale, value.denominator)
-    if 2 * rem >= value.denominator:
+    units, rem = divmod(abs(num) * scale, den)
+    if 2 * rem >= den:
         units += 1
-    sign = "-" if value.numerator < 0 else ""
+    sign = "-" if num < 0 else ""
     return f"{sign}{units // scale}.{units % scale:0{digits}d}"

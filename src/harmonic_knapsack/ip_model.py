@@ -11,6 +11,9 @@ subtree is one rule: the largest count that fits. nodes_visited still
 counts the full tree. solve_bnb reaches the same opt and argmax by
 depth-first branch-and-bound with Dantzig's LP bound; it visits 29 nodes at
 k = 14, mu = 1/2, where the full tree has 237,931, so it serves far larger k.
+It searches only the classes 1..m with a positive score coefficient, m from
+compute_m, and derives a class's step, gain and bound ratio when it visits
+the class, so its cost follows the nodes visited rather than k.
 
 Both searches run on plain integers: with L = lcm(1..k) and mu = p/q, costs
 are scaled by L and scores by q*L, so every comparison is exact without
@@ -32,6 +35,7 @@ __all__ = [
     "MAX_VECTOR_K",
     "IpSolution",
     "SolveReport",
+    "compute_m",
     "score",
     "cost",
     "solve_bnb",
@@ -50,8 +54,9 @@ BRUTE_CAP = 14
 
 # Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
 # built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most about
-# 5 ms at k = 1,000 on a 2-vCPU VM under CPython 3.11, against 0.3 s at
-# k = 10,000; no bound on its node count is proved, so the cap stays low.
+# 1.3 ms (166 nodes) at k = 1,000 on a 2-vCPU VM under CPython 3.11, against
+# 0.26 s (up to 8,600 nodes) at k = 10,000; no bound on its node count is
+# proved, so the cap stays low.
 BNB_CAP = 1_000
 
 # Largest k for which a count vector (k - 1 entries) is built. At this k the
@@ -91,20 +96,6 @@ def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
     return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 
-def _scaled_problem(params: HarmonicParams):
-    """Integer rescaling of cost steps and score gains.
-
-    Costs are multiplied by d = lcm(1..k) and scores by m_scale = q*d where
-    mu = p/q; both stay exact because j and j+1 divide d.
-    """
-    k = params.k
-    d = math.lcm(*range(1, k + 1))
-    p, q = params.mu.numerator, params.mu.denominator
-    steps = [d // (j + 1) for j in range(1, k)]
-    gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
-    return d, steps, q * d, gains, p * d
-
-
 def solve_brute(params: HarmonicParams) -> SolveReport:
     """Maximize the score over all feasible count vectors.
 
@@ -126,10 +117,13 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     """
     if params.k > BRUTE_CAP:
         raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
-    d, steps, m_scale, gains, base = _scaled_problem(params)
     k = params.k
+    d = math.lcm(*range(1, k + 1))
+    p, q = params.mu.numerator, params.mu.denominator
+    steps = [d // (j + 1) for j in range(1, k)]
+    gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
     if k == 1:  # no class to fill: the empty vector is the only leaf
-        return SolveReport(Fraction(base, m_scale), (), 1, 0)
+        return SolveReport(params.mu, (), 1, 0)
     last = k - 2
     # one dict per class; the last class's stays empty
     memo: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(k - 1)]
@@ -170,7 +164,21 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     # subtree refers to itself, so it and memo form a cycle that only the
     # cyclic collector would free; drop the summaries now
     memo.clear()
-    return SolveReport(Fraction(base + best, m_scale), tuple(argmax), n_feasible, nodes)
+    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), n_feasible, nodes)
+
+
+def compute_m(params: HarmonicParams) -> int:
+    """Largest class index with a strictly positive score coefficient, or 0.
+
+    With mu = p/q the coefficient 1/j - mu/(j+1) of class j is positive
+    exactly when j*(p - q) < q: for every class j <= k-1 when p <= q, else
+    for j up to ceil(q/(p - q)) - 1. Integer arithmetic only, so k may be
+    astronomically large; m is 0 exactly when k = 1 or mu >= 2.
+    """
+    k, p, q = params.k, params.mu.numerator, params.mu.denominator
+    if p <= q:
+        return k - 1
+    return min(k - 1, -(-q // (p - q)) - 1)
 
 
 def solve_bnb(params: HarmonicParams) -> SolveReport:
@@ -180,19 +188,22 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     the largest that fits down to 0, so complete vectors are reached in
     lexicographically decreasing order; a vector that ties the incumbent
     replaces it, which leaves the lexicographically smallest maximizer. The
-    incumbent starts as the zero vector. Only the leading classes with a
-    positive gain are searched (gain/step, q*(j+1)/j - p, falls as j grows,
-    so they form a prefix); the rest stay at 0.
+    incumbent starts as the zero vector. Only the classes 1..m with a
+    positive gain are searched, m from compute_m (gain/step, q*(j+1)/j - p,
+    falls as j grows, so they form a prefix); the rest stay at 0.
 
     The bound is Dantzig's: the classes still open can add at most the best
-    gain/step ratio among them, (q*(j+1) - p*j)/j at the first open class j,
-    times the free capacity. A node whose bound falls below the incumbent is
-    pruned. Lowering the count of class j only lowers its bound, since the
-    capacity freed is refilled at a ratio no better than class j's own; so a
-    pruned count prunes every smaller count of that class too. Classes with
-    no room are skipped in one step: the first class whose step fits in
-    `free` is j = ceil(d/free) - 1.
+    gain/step ratio among them, (q*(j+1) - p*j)/j at the first open class j
+    (0 past class m), times the free capacity. A node whose bound falls
+    below the incumbent is pruned. Lowering the count of class j only lowers
+    its bound, since the capacity freed is refilled at a ratio no better
+    than class j's own; so a pruned count prunes every smaller count of that
+    class too. Classes with no room are skipped in one step: the first class
+    whose step fits in `free` is j = ceil(d/free) - 1.
 
+    A class's step d/(j+1), gain q*d/j - p*step and ratio are derived when
+    the search reaches it, so the cost follows the nodes visited rather than
+    k; the only per-class lists are the m counts and the returned argmax.
     The search keeps its path on an explicit stack, the classes holding a
     positive count, so its depth is not bounded by the recursion limit.
     nodes_visited counts the count assignments made: one per class filled on
@@ -200,14 +211,9 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     """
     if params.k > BNB_CAP:
         raise ValueError(f"k exceeds the branch-and-bound cap {BNB_CAP}")
-    d, steps, m_scale, gains, base = _scaled_problem(params)
+    d = math.lcm(*range(1, params.k + 1))
     p, q = params.mu.numerator, params.mu.denominator
-    n = 0
-    while n < len(gains) and gains[n] > 0:
-        n += 1
-    # the bound's ratio num/den at each open position; past the last one it is 0
-    nums = [q * (j + 1) - p * j for j in range(1, n + 1)] + [0]
-    dens = [*range(1, n + 1), 1]
+    n = compute_m(params)
     cap = d - 1  # a vector fits when its scaled load is at most d - 1
     counts = [0] * n
     path: list[int] = []  # positions holding a positive count, in order
@@ -224,26 +230,31 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
                 if gained >= best:
                     best, best_path = gained, [(i, counts[i]) for i in path]
                 break
-            if gained * dens[pos] + nums[pos] * free < best * dens[pos]:
+            j = pos + 1
+            if gained * j + (q * (j + 1) - p * j) * free < best * j:
                 break
-            step = steps[pos]
+            step = d // (j + 1)
             value = free // step
             counts[pos] = value
             load += value * step
-            gained += value * gains[pos]
+            gained += value * (q * d // j - p * step)
             path.append(pos)
             nodes += 1
             pos += 1
         # back: lower the deepest positive count whose bound still reaches best
         while path:
             i = path[-1]
-            step, gain = steps[i], gains[i]
+            j = i + 1
+            step = d // (j + 1)
+            gain = q * d // j - p * step
             counts[i] -= 1
             load -= step
             gained -= gain
             nodes += 1
-            pos = i + 1
-            if gained * dens[pos] + nums[pos] * (cap - load) >= best * dens[pos]:
+            pos = j
+            # the bound's ratio at the next class j + 1; past class m it is 0
+            ratio = q * (j + 2) - p * (j + 1) if j < n else 0
+            if gained * (j + 1) + ratio * (cap - load) >= best * (j + 1):
                 if not counts[i]:
                     path.pop()
                 break
@@ -257,4 +268,4 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     argmax = [0] * (params.k - 1)
     for i, value in best_path:
         argmax[i] = value
-    return SolveReport(Fraction(base + best, m_scale), tuple(argmax), None, nodes)
+    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), None, nodes)

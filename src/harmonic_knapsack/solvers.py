@@ -3,7 +3,9 @@
 For mu >= 1 the optimum is reached on a prefix of the reciprocal-splitting
 sequence: let m be the last class whose score coefficient is positive (0 if
 none is) and q the last sequence index with term <= m; then the optimum
-equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}.
+equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}. m comes
+from ip_model.compute_m, which branch-and-bound also uses to bound its
+search; this module re-exports it.
 greedy_solution puts one item in each of the classes r_1, ..., r_q and
 scores that vector exactly. With k = 1 (no classes) or mu >= 2 (every
 coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
@@ -17,13 +19,12 @@ check against the exhaustive solver and against committed optima past its cap.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
 
 from .harmonic import HarmonicParams
-from .ip_model import IpSolution, SolveReport, score, solve_bnb, solve_brute, zero_counts
+from .ip_model import IpSolution, SolveReport, compute_m, score, solve_bnb, solve_brute, zero_counts
 from .sylvester import sylvester_rows
 
 __all__ = [
@@ -47,16 +48,6 @@ class SolveOutcome(NamedTuple):
     method: str
     counts: Optional[IpSolution] = None
     report: Optional[SolveReport] = None
-
-
-def compute_m(params: HarmonicParams) -> int:
-    """Largest class index with a strictly positive score coefficient, or 0.
-
-    Equals ceil(1 / max(mu - 1, 1/k)) - 1, evaluated with exact rational
-    arithmetic; that is 0 exactly when k = 1 or mu >= 2.
-    """
-    slack = max(params.mu - 1, Fraction(1, params.k))
-    return math.ceil(1 / slack) - 1
 
 
 def closed_form_pieces(params: HarmonicParams) -> tuple[int, int, int, Fraction]:

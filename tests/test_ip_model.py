@@ -53,6 +53,72 @@ def reference_brute(params):
     return SolveReport(Fraction(best, q * d), best_counts, n_feasible, nodes)
 
 
+def reference_bnb(params):
+    """The list-based branch-and-bound that solve_bnb derives lazily: same tree, same order.
+
+    Every class's step, gain and bound ratio is tabulated up front, m is
+    found by scanning the gains, and the bound's ratio past class m is a 0
+    sentinel at the end of the table.
+    """
+    k, p, q = params.k, params.mu.numerator, params.mu.denominator
+    d = math.lcm(*range(1, k + 1))
+    steps = [d // (j + 1) for j in range(1, k)]
+    gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
+    n = 0
+    while n < len(gains) and gains[n] > 0:
+        n += 1
+    nums = [q * (j + 1) - p * j for j in range(1, n + 1)] + [0]
+    dens = [*range(1, n + 1), 1]
+    cap = d - 1
+    counts = [0] * n
+    path = []
+    load = gained = best = nodes = 0
+    best_path = []
+    pos = 0
+    while True:
+        while True:
+            free = cap - load
+            if free:
+                pos = max(pos, -(-d // free) - 2)
+            if not free or pos >= n:
+                if gained >= best:
+                    best, best_path = gained, [(i, counts[i]) for i in path]
+                break
+            if gained * dens[pos] + nums[pos] * free < best * dens[pos]:
+                break
+            step = steps[pos]
+            value = free // step
+            counts[pos] = value
+            load += value * step
+            gained += value * gains[pos]
+            path.append(pos)
+            nodes += 1
+            pos += 1
+        while path:
+            i = path[-1]
+            step, gain = steps[i], gains[i]
+            counts[i] -= 1
+            load -= step
+            gained -= gain
+            nodes += 1
+            pos = i + 1
+            if gained * dens[pos] + nums[pos] * (cap - load) >= best * dens[pos]:
+                if not counts[i]:
+                    path.pop()
+                break
+            value = counts[i]
+            load -= value * step
+            gained -= value * gain
+            counts[i] = 0
+            path.pop()
+        else:
+            break
+    argmax = [0] * (k - 1)
+    for i, value in best_path:
+        argmax[i] = value
+    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), None, nodes)
+
+
 def oracle_feasible(k):
     """Independent enumeration: full cartesian product, then filter on cost.
 
@@ -243,6 +309,19 @@ def test_solve_bnb_matches_solve_brute_below_one():
             params = HarmonicParams(k, mu)
             rep = solve_brute(params)
             assert solve_bnb(params)[:2] == (rep.opt, rep.argmax), (k, mu)
+
+
+def test_solve_bnb_walks_the_reference_tree():
+    # the whole report, nodes_visited included, so the lazily derived classes
+    # are visited in the same order and pruned at the same nodes
+    for k in range(1, 61):
+        for mu in sorted({F(a, b) for b in range(1, 13) for a in range(0, b * min(k, 3) + 1)}):
+            params = HarmonicParams(k, mu)
+            assert solve_bnb(params) == reference_bnb(params), (k, mu)
+    for k in (200, BNB_CAP):
+        for mu in (F(0), F(1, 12), F(1, 2), F(5, 7), F(11, 12), F(1), F(13, 12), F(3, 2)):
+            params = HarmonicParams(k, mu)
+            assert solve_bnb(params) == reference_bnb(params), (k, mu)
 
 
 def test_solve_bnb_matches_committed_optima_past_the_brute_cap():

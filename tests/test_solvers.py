@@ -22,8 +22,8 @@ TERMS = [r for r, _ in islice(sylvester_rows(), 7)]
 
 
 def oracle_m(params):
-    """Largest class with positive coefficient, by direct scan."""
-    best = None
+    """Largest class with positive coefficient, by direct scan; 0 if none."""
+    best = 0
     for j in range(1, params.k):
         if F(1, j) - params.mu / (j + 1) > 0:
             best = j
@@ -38,9 +38,16 @@ def test_compute_m_examples():
 
 def test_compute_m_matches_scan():
     for k in range(2, 15):
-        for mu in [F(0), F(1, 3), F(1), F(10, 9), F(4, 3), F(3, 2), F(19, 10)]:
+        for mu in sorted({F(a, b) for b in range(1, 13) for a in range(0, b * min(k, 3) + 1)}):
             params = HarmonicParams(k, mu)
             assert compute_m(params) == oracle_m(params), (k, mu)
+
+
+def test_compute_m_at_huge_k():
+    k = 10**100
+    assert compute_m(HarmonicParams(k, 1 + F(1, 10**50))) == 10**50 - 1
+    assert compute_m(HarmonicParams(k, F(1, 2))) == k - 1
+    assert compute_m(HarmonicParams(k, F(2))) == 0
 
 
 def test_compute_m_preconditions():
