@@ -13,7 +13,9 @@ depth-first branch-and-bound with Dantzig's LP bound; it visits 29 nodes at
 k = 14, mu = 1/2, where the full tree has 237,931, so it serves far larger k.
 It searches only the classes 1..m with a positive score coefficient, m from
 compute_m, and derives a class's step, gain and bound ratio when it visits
-the class, so its cost follows the nodes visited rather than k.
+the class, so its cost follows the nodes visited rather than k. Its stack
+keeps each filled class's step and gain for the back-track, and its
+incumbent is a copy of the count vector.
 
 Both searches run on plain integers: with L = lcm(1..k) and mu = p/q, costs
 are scaled by L and scores by q*L, so every comparison is exact without
@@ -53,10 +55,11 @@ IpSolution = tuple[int, ...]
 BRUTE_CAP = 14
 
 # Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
-# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most about
-# 1.3 ms (166 nodes) at k = 1,000 on a 2-vCPU VM under CPython 3.11, against
-# 0.26 s (up to 8,600 nodes) at k = 10,000; no bound on its node count is
-# proved, so the cap stays low.
+# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most 1.1 to
+# 1.4 ms (166 nodes; best of 5-10 runs, as the VM's speed drifts) at
+# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 0.21 s (up to 8,600
+# nodes) at k = 10,000; no bound on its node count is proved, so the cap
+# stays low.
 BNB_CAP = 1_000
 
 # Largest k for which a count vector (k - 1 entries) is built. At this k the
@@ -119,7 +122,7 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
         raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
     k = params.k
     d = math.lcm(*range(1, k + 1))
-    p, q = params.mu.numerator, params.mu.denominator
+    p, q = params.mu.as_integer_ratio()
     steps = [d // (j + 1) for j in range(1, k)]
     gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
     if k == 1:  # no class to fill: the empty vector is the only leaf
@@ -175,7 +178,8 @@ def compute_m(params: HarmonicParams) -> int:
     for j up to ceil(q/(p - q)) - 1. Integer arithmetic only, so k may be
     astronomically large; m is 0 exactly when k = 1 or mu >= 2.
     """
-    k, p, q = params.k, params.mu.numerator, params.mu.denominator
+    k = params.k
+    p, q = params.mu.as_integer_ratio()
     if p <= q:
         return k - 1
     return min(k - 1, -(-q // (p - q)) - 1)
@@ -188,7 +192,8 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     the largest that fits down to 0, so complete vectors are reached in
     lexicographically decreasing order; a vector that ties the incumbent
     replaces it, which leaves the lexicographically smallest maximizer. The
-    incumbent starts as the zero vector. Only the classes 1..m with a
+    incumbent is a copy of the m counts, taken at each complete vector that
+    reaches it, and starts as the zero vector. Only the classes 1..m with a
     positive gain are searched, m from compute_m (gain/step, q*(j+1)/j - p,
     falls as j grows, so they form a prefix); the rest stay at 0.
 
@@ -202,51 +207,60 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     whose step fits in `free` is j = ceil(d/free) - 1.
 
     A class's step d/(j+1), gain q*d/j - p*step and ratio are derived when
-    the search reaches it, so the cost follows the nodes visited rather than
-    k; the only per-class lists are the m counts and the returned argmax.
-    The search keeps its path on an explicit stack, the classes holding a
-    positive count, so its depth is not bounded by the recursion limit.
+    the search fills it, so the cost follows the nodes visited rather than
+    k; the per-class lists are the m counts, the incumbent and the returned
+    argmax (the incumbent plus k-1-m zeros). The search keeps its path on
+    an explicit stack, the classes holding a positive count with the step
+    and gain they were filled with, so a back-track divides nothing and the
+    depth is not bounded by the recursion limit.
     nodes_visited counts the count assignments made: one per class filled on
     the way down and one per count lowered on the way back.
     """
     if params.k > BNB_CAP:
         raise ValueError(f"k exceeds the branch-and-bound cap {BNB_CAP}")
     d = math.lcm(*range(1, params.k + 1))
-    p, q = params.mu.numerator, params.mu.denominator
+    p, q = params.mu.as_integer_ratio()
+    qd = q * d
     n = compute_m(params)
     cap = d - 1  # a vector fits when its scaled load is at most d - 1
     counts = [0] * n
+    incumbent = counts[:]  # the zero vector, score 0
     path: list[int] = []  # positions holding a positive count, in order
+    steps: list[int] = []  # their steps and gains, pushed and popped with path
+    gains: list[int] = []
     load = gained = best = nodes = 0
-    best_path: list[tuple[int, int]] = []
     pos = 0
     while True:
         # down: fill each class that fits with its largest count, while the bound holds
         while True:
             free = cap - load
             if free:
-                pos = max(pos, -(-d // free) - 2)
+                skip = -(-d // free) - 2
+                if skip > pos:
+                    pos = skip
             if not free or pos >= n:
                 if gained >= best:
-                    best, best_path = gained, [(i, counts[i]) for i in path]
+                    best, incumbent = gained, counts[:]
                 break
             j = pos + 1
             if gained * j + (q * (j + 1) - p * j) * free < best * j:
                 break
             step = d // (j + 1)
+            gain = qd // j - p * step
             value = free // step
             counts[pos] = value
             load += value * step
-            gained += value * (q * d // j - p * step)
+            gained += value * gain
             path.append(pos)
+            steps.append(step)
+            gains.append(gain)
             nodes += 1
             pos += 1
         # back: lower the deepest positive count whose bound still reaches best
         while path:
             i = path[-1]
             j = i + 1
-            step = d // (j + 1)
-            gain = q * d // j - p * step
+            step, gain = steps[-1], gains[-1]
             counts[i] -= 1
             load -= step
             gained -= gain
@@ -257,15 +271,17 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
             if gained * (j + 1) + ratio * (cap - load) >= best * (j + 1):
                 if not counts[i]:
                     path.pop()
+                    steps.pop()
+                    gains.pop()
                 break
             value = counts[i]
             load -= value * step
             gained -= value * gain
             counts[i] = 0
             path.pop()
+            steps.pop()
+            gains.pop()
         else:
             break
-    argmax = [0] * (params.k - 1)
-    for i, value in best_path:
-        argmax[i] = value
-    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), None, nodes)
+    argmax = tuple(incumbent) + (0,) * (params.k - 1 - n)
+    return SolveReport(Fraction(p * d + best, qd), argmax, None, nodes)

@@ -15,6 +15,8 @@ Both routes are checked against the exhaustive solver in the tests.
 For k >= 2 and mu < 1 no closed form applies; solve's auto route sends that
 corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
 check against the exhaustive solver and against committed optima past its cap.
+The auto test and solve_closed_form's guard read mu as its lowest-terms
+integer pair p/q and compare p < q, so no Fraction comparison runs.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     Never materializes a count vector, so it works for astronomically large
     k. For k >= 2 with mu < 1 no closed form is claimed; use method auto.
     """
-    if params.k >= 2 and params.mu < 1:
+    p, q = params.mu.as_integer_ratio()
+    if params.k >= 2 and p < q:
         raise ValueError("no closed form for k >= 2 with mu < 1; use method auto")
     _, _, r_next, s_next = closed_form_pieces(params)
     return SolveOutcome(s_next + (params.mu - 1) / r_next, "closed")
@@ -101,16 +104,17 @@ def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
     lexicographically smallest maximizer as counts and no report.
     """
     if method == "auto":
-        if params.k >= 2 and params.mu < 1:
+        p, q = params.mu.as_integer_ratio()
+        if params.k >= 2 and p < q:
             result = solve_bnb(params)
-            return SolveOutcome(result.opt, "bnb", counts=result.argmax)
+            return SolveOutcome(result.opt, "bnb", result.argmax)
         return solve_closed_form(params)
     if method == "brute":
         report = solve_brute(params)
-        return SolveOutcome(report.opt, "brute", counts=report.argmax, report=report)
+        return SolveOutcome(report.opt, "brute", report.argmax, report)
     if method == "closed":
         return solve_closed_form(params)
     if method == "greedy":
         counts, value = greedy_solution(params)
-        return SolveOutcome(value, "greedy", counts=counts)
+        return SolveOutcome(value, "greedy", counts)
     raise ValueError(f"unknown method {method!r}; expected auto, brute, closed or greedy")

@@ -309,6 +309,10 @@ def test_solve_bnb_matches_solve_brute_below_one():
             params = HarmonicParams(k, mu)
             rep = solve_brute(params)
             assert solve_bnb(params)[:2] == (rep.opt, rep.argmax), (k, mu)
+    # the stored steps and gains on a 61-digit p and q
+    params = HarmonicParams(14, F(10**60 - 1, 10**60))
+    rep = solve_brute(params)
+    assert solve_bnb(params)[:2] == (rep.opt, rep.argmax)
 
 
 def test_solve_bnb_walks_the_reference_tree():

@@ -258,6 +258,20 @@ def test_solve_dispatch():
     assert (out.opt, out.counts) == (F(31, 18), (1, 1, 0))
     with pytest.raises(ValueError):
         solve(HarmonicParams(4, F(4, 3)), method="simplex")
+    # auto tests mu's integer pair p < q; both sides of mu = 1
+    tiny = F(1, 10**100)
+    out = solve(HarmonicParams(2, F(1)))
+    assert (out.opt, out.method) == (solve_brute(HarmonicParams(2, F(1))).opt, "closed")
+    assert solve(HarmonicParams(10**100, F(1))).method == "closed"
+    params = HarmonicParams(3, 1 - tiny)
+    out, brute = solve(params), solve_brute(params)
+    assert (out.opt, out.method, out.counts) == (brute.opt, "bnb", brute.argmax)
+    assert solve(HarmonicParams(3, 1 + tiny)).method == "closed"
+    out = solve(HarmonicParams(1, F(1, 2)))
+    assert (out.opt, out.method) == (F(1, 2), "closed")
+    for k in (2, 3, 10**100):
+        with pytest.raises(ValueError, match="use method auto"):
+            solve_closed_form(HarmonicParams(k, 1 - tiny))
 
 
 def test_results_expose_their_fields():
