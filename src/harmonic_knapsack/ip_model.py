@@ -13,9 +13,9 @@ depth-first branch-and-bound with Dantzig's LP bound; it visits 29 nodes at
 k = 14, mu = 1/2, where the full tree has 237,931, so it serves far larger k.
 It searches only the classes 1..m with a positive score coefficient, m from
 compute_m, and derives a class's step, gain and bound ratio when it visits
-the class, so its cost follows the nodes visited rather than k. Its stack
-keeps each filled class's step and gain for the back-track, and its
-incumbent is a copy of the count vector.
+the class, so its cost follows the nodes visited rather than k. It
+recurses once per class holding a positive count, at most 632 classes deep
+at k = 1,000, and its incumbent is a copy of the count vector.
 
 Both searches run on plain integers: with L = lcm(1..k) and mu = p/q, costs
 are scaled by L and scores by q*L, so every comparison is exact without
@@ -55,11 +55,13 @@ IpSolution = tuple[int, ...]
 BRUTE_CAP = 14
 
 # Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
-# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most 1.1 to
-# 1.4 ms (166 nodes; best of 5-10 runs, as the VM's speed drifts) at
-# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 0.21 s (up to 8,600
-# nodes) at k = 10,000; no bound on its node count is proved, so the cap
-# stays low.
+# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most 0.8 to
+# 1.3 ms (166 nodes; best of 5 runs, as the VM's speed drifts) at
+# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 0.15-0.17 s (up to
+# 8,600 nodes) at k = 10,000; no bound on its node count is proved, so the
+# cap stays low. Its recursion depth is bounded by the classes that can hold
+# a positive count at once: 632 at this cap, below CPython's default limit of
+# 1,000, but 6,321 at k = 10,000, so raising the cap must re-check the depth.
 BNB_CAP = 1_000
 
 # Largest k for which a count vector (k - 1 entries) is built. At this k the
@@ -209,10 +211,14 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     A class's step d/(j+1), gain q*d/j - p*step and ratio are derived when
     the search fills it, so the cost follows the nodes visited rather than
     k; the per-class lists are the m counts, the incumbent and the returned
-    argmax (the incumbent plus k-1-m zeros). The search keeps its path on
-    an explicit stack, the classes holding a positive count with the step
-    and gain they were filled with, so a back-track divides nothing and the
-    depth is not bounded by the recursion limit.
+    argmax (the incumbent plus k-1-m zeros). A call of branch fills a class
+    with its largest count and recurses once per positive count, lowering
+    the count by one after each subtree; step and gain stay in its locals,
+    so a back-track divides nothing. At count 0 the call loops on to the
+    next class, so only classes holding a positive count add a frame: their
+    j have sum 1/(j+1) < 1, so at k = BNB_CAP there are at most 632, below
+    the default recursion limit (the 46 slopes mu = a/b < 1 with b <= 12
+    need at most 6 frames of branch there).
     nodes_visited counts the count assignments made: one per class filled on
     the way down and one per count lowered on the way back.
     """
@@ -222,18 +228,14 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     p, q = params.mu.as_integer_ratio()
     qd = q * d
     n = compute_m(params)
-    cap = d - 1  # a vector fits when its scaled load is at most d - 1
     counts = [0] * n
     incumbent = counts[:]  # the zero vector, score 0
-    path: list[int] = []  # positions holding a positive count, in order
-    steps: list[int] = []  # their steps and gains, pushed and popped with path
-    gains: list[int] = []
-    load = gained = best = nodes = 0
-    pos = 0
-    while True:
-        # down: fill each class that fits with its largest count, while the bound holds
+    best = nodes = 0
+
+    def branch(pos: int, free: int, gained: int) -> None:
+        """Search the classes from position pos on, with scaled capacity free left."""
+        nonlocal best, incumbent, nodes
         while True:
-            free = cap - load
             if free:
                 skip = -(-d // free) - 2
                 if skip > pos:
@@ -241,47 +243,31 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
             if not free or pos >= n:
                 if gained >= best:
                     best, incumbent = gained, counts[:]
-                break
+                return
             j = pos + 1
             if gained * j + (q * (j + 1) - p * j) * free < best * j:
-                break
+                return
             step = d // (j + 1)
             gain = qd // j - p * step
-            value = free // step
-            counts[pos] = value
-            load += value * step
-            gained += value * gain
-            path.append(pos)
-            steps.append(step)
-            gains.append(gain)
-            nodes += 1
-            pos += 1
-        # back: lower the deepest positive count whose bound still reaches best
-        while path:
-            i = path[-1]
-            j = i + 1
-            step, gain = steps[-1], gains[-1]
-            counts[i] -= 1
-            load -= step
-            gained -= gain
-            nodes += 1
-            pos = j
             # the bound's ratio at the next class j + 1; past class m it is 0
             ratio = q * (j + 2) - p * (j + 1) if j < n else 0
-            if gained * (j + 1) + ratio * (cap - load) >= best * (j + 1):
-                if not counts[i]:
-                    path.pop()
-                    steps.pop()
-                    gains.pop()
-                break
-            value = counts[i]
-            load -= value * step
-            gained -= value * gain
-            counts[i] = 0
-            path.pop()
-            steps.pop()
-            gains.pop()
-        else:
-            break
+            counts[pos] = value = free // step
+            room = free - value * step
+            got = gained + value * gain
+            nodes += 1
+            while value:
+                branch(j, room, got)
+                value -= 1
+                counts[pos] = value
+                room += step
+                got -= gain
+                nodes += 1
+                if got * (j + 1) + ratio * room < best * (j + 1):
+                    counts[pos] = 0
+                    return
+            pos, free, gained = j, room, got
+
+    branch(0, d - 1, 0)  # a vector fits when its scaled load is at most d - 1
+    del branch  # it refers to itself; drop the cycle rather than leave it to gc
     argmax = tuple(incumbent) + (0,) * (params.k - 1 - n)
     return SolveReport(Fraction(p * d + best, qd), argmax, None, nodes)

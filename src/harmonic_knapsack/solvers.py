@@ -5,7 +5,7 @@ sequence: let m be the last class whose score coefficient is positive (0 if
 none is) and q the last sequence index with term <= m; then the optimum
 equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}. m comes
 from ip_model.compute_m, which branch-and-bound also uses to bound its
-search; this module re-exports it.
+search.
 greedy_solution puts one item in each of the classes r_1, ..., r_q and
 scores that vector exactly. With k = 1 (no classes) or mu >= 2 (every
 coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
@@ -31,7 +31,6 @@ from .sylvester import sylvester_rows
 
 __all__ = [
     "SolveOutcome",
-    "compute_m",
     "closed_form_pieces",
     "solve_closed_form",
     "greedy_solution",

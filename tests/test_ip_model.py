@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -368,6 +369,46 @@ def test_solve_bnb_prunes():
     # the full tree at k = 14 has 237,931 nodes
     assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 29
     assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), (), None, 0)
+
+
+def test_solve_bnb_recursion_stays_shallow():
+    # only a class holding a positive count adds a frame; distinct classes
+    # j <= BNB_CAP - 1 with sum 1/(j+1) < 1 are at most 632, the largest
+    # such set being the classes with the smallest reciprocals, so even the
+    # worst case stays below the default recursion limit of 1,000
+    total, most = F(0), 0
+    for j in range(BNB_CAP - 1, 0, -1):
+        total += F(1, j + 1)
+        if total >= 1:
+            break
+        most += 1
+    assert most == 632
+    frames = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frames += 1
+        frame = frame.f_back
+    assert frames + most + 2 < 1000  # solve_bnb, and branch once more than the classes
+    # the searches actually run use a handful of frames
+    slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 20)
+    try:
+        for k in (200, BNB_CAP):
+            for mu in slopes:
+                solve_bnb(HarmonicParams(k, mu))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_solve_bnb_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        solve_bnb(HarmonicParams(14, F(1, 2)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bnb_cap_enforced():
