@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from .harmonic import HarmonicParams
 from .ip_model import cost
-from .solvers import greedy_solution, solve_closed_form
-from .sylvester import sylvester_rows
+from .solvers import greedy_solution, solve_closed_form, sylvester_rows
 
 __all__ = [
     "FAMILIES",

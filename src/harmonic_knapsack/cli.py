@@ -17,13 +17,15 @@ line break, so a plain comma join is the CSV that csv.writer would write.
 witness and simulate print JSON only.
 
 Exit codes: 0 success, 1 domain error (bad parameter ranges, infeasible
-inputs, unreadable files), 2 usage error (unknown flags, malformed values).
+inputs, unreadable files) or a stdout closed early, which prints nothing,
+2 usage error (unknown flags, malformed values).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -33,8 +35,7 @@ from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, eval_fk
-from .solvers import closed_form_pieces, solve
-from .sylvester import sylvester_rows
+from .solvers import closed_form_pieces, solve, sylvester_rows
 
 __all__ = ["parse_rational_arg", "run", "main"]
 
@@ -399,10 +400,19 @@ def run(argv=None) -> int:
     parser = build_parser()
     argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-        args.handler(args, parser)
+        try:
+            args = parser.parse_args(argv)
+            args.handler(args, parser)
+        finally:  # --help exits through here too
+            sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit
     except SystemExit as exc:  # argparse's own message, or parser.error in a handler
         return int(exc.code or 0)
+    except BrokenPipeError:  # stdout closed early (`... | head`): exit 1 quietly
+        # the interpreter flushes stdout again at exit; give that flush somewhere to go
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

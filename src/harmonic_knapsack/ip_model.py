@@ -1,4 +1,7 @@
-"""Exact optimizers over per-class item counts: exhaustive search and branch-and-bound.
+"""The count-vector model (score, cost, compute_m) and its two exact searches.
+
+The closed form, greedy and MAX_VECTOR_K, the bound on explicit count
+vectors, live in solvers; each search here has its own smaller cap.
 
 A candidate assigns a non-negative count to each size class j in [1, k-1].
 Its cost is sum counts[j-1]/(j+1), and it is feasible when the cost stays
@@ -34,7 +37,6 @@ from .harmonic import HarmonicParams
 __all__ = [
     "BNB_CAP",
     "BRUTE_CAP",
-    "MAX_VECTOR_K",
     "IpSolution",
     "SolveReport",
     "compute_m",
@@ -42,7 +44,6 @@ __all__ = [
     "cost",
     "solve_bnb",
     "solve_brute",
-    "zero_counts",
 ]
 
 IpSolution = tuple[int, ...]
@@ -64,12 +65,6 @@ BRUTE_CAP = 14
 # 1,000, but 6,321 at k = 10,000, so raising the cap must re-check the depth.
 BNB_CAP = 1_000
 
-# Largest k for which a count vector (k - 1 entries) is built. At this k the
-# greedy vector is built, scored and printed, and the all-zero witness with
-# its k filler items packed, in well under a second; ten times larger the
-# latter takes seconds, and far larger k cannot be allocated at all.
-MAX_VECTOR_K = 10_000
-
 
 class SolveReport(NamedTuple):
     """Outcome of one search run; branch-and-bound counts no feasible vectors (None)."""
@@ -78,13 +73,6 @@ class SolveReport(NamedTuple):
     argmax: IpSolution
     feasible_count: Optional[int]
     nodes_visited: int
-
-
-def zero_counts(params: HarmonicParams) -> list[int]:
-    """A fresh all-zero count vector for params; k above MAX_VECTOR_K is refused."""
-    if params.k > MAX_VECTOR_K:
-        raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
-    return [0] * (params.k - 1)
 
 
 def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
@@ -123,12 +111,12 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     if params.k > BRUTE_CAP:
         raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
     k = params.k
+    if k == 1:  # no class to fill: the empty vector is the only leaf
+        return SolveReport(params.mu, (), 1, 0)
     d = math.lcm(*range(1, k + 1))
     p, q = params.mu.as_integer_ratio()
     steps = [d // (j + 1) for j in range(1, k)]
     gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
-    if k == 1:  # no class to fill: the empty vector is the only leaf
-        return SolveReport(params.mu, (), 1, 0)
     last = k - 2
     # one dict per class; the last class's stays empty
     memo: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(k - 1)]

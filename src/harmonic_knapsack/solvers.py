@@ -1,16 +1,17 @@
-"""Fast paths to the optimal score: closed form, greedy, and a dispatcher.
+"""The closed-form layer: the Sylvester walk, the closed form, greedy and a dispatcher.
 
 For mu >= 1 the optimum is reached on a prefix of the reciprocal-splitting
-sequence: let m be the last class whose score coefficient is positive (0 if
-none is) and q the last sequence index with term <= m; then the optimum
-equals the reciprocal prefix sum through q+1 plus (mu-1)/r_{q+1}. m comes
-from ip_model.compute_m, which branch-and-bound also uses to bound its
-search.
+sequence 1, 2, 6, 42, 1806, ..., which sylvester_rows walks: let m be the
+last class whose score coefficient is positive (0 if none is) and q the last
+sequence index with term <= m; then the optimum equals the reciprocal prefix
+sum through q+1 plus (mu-1)/r_{q+1}. m comes from ip_model.compute_m, which
+branch-and-bound also uses to bound its search.
 greedy_solution puts one item in each of the classes r_1, ..., r_q and
-scores that vector exactly. With k = 1 (no classes) or mu >= 2 (every
-coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
-and both routes give mu, the score of the all-zero vector.
-Both routes are checked against the exhaustive solver in the tests.
+scores that vector exactly; it alone builds an explicit count vector, so
+MAX_VECTOR_K, the bound on k for such vectors, lives here. With k = 1 (no
+classes) or mu >= 2 (every coefficient 1/j - mu/(j+1) non-positive) m is 0,
+so Q = 0, r_1 = S_1 = 1 and both routes give mu, the score of the all-zero
+vector. Both routes are checked against the exhaustive solver in the tests.
 
 For k >= 2 and mu < 1 no closed form applies; solve's auto route sends that
 corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
@@ -23,19 +24,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .harmonic import HarmonicParams
-from .ip_model import IpSolution, SolveReport, compute_m, score, solve_bnb, solve_brute, zero_counts
-from .sylvester import sylvester_rows
+from .ip_model import IpSolution, SolveReport, compute_m, score, solve_bnb, solve_brute
 
 __all__ = [
+    "MAX_VECTOR_K",
     "SolveOutcome",
+    "sylvester_rows",
     "closed_form_pieces",
     "solve_closed_form",
     "greedy_solution",
     "solve",
 ]
+
+# Largest k for which a count vector (k - 1 entries) is built. At this k the
+# greedy vector is built, scored and printed, and the all-zero witness with
+# its k filler items packed, in well under a second; ten times larger the
+# latter takes seconds, and far larger k cannot be allocated at all.
+MAX_VECTOR_K = 10_000
 
 
 class SolveOutcome(NamedTuple):
@@ -49,6 +57,22 @@ class SolveOutcome(NamedTuple):
     method: str
     counts: Optional[IpSolution] = None
     report: Optional[SolveReport] = None
+
+
+def sylvester_rows() -> Iterator[tuple[int, Fraction]]:
+    """Endless walk of (r_j, S_j) for j = 1, 2, ...: each term and the exact
+    sum of the reciprocals of the terms up to it.
+
+    Each term is the previous one times one more than itself, so digit counts
+    roughly double per step, and a term is only built when its row is asked
+    for. The sums S_j rise toward a limit just below 1.7, and the sums of
+    1/(r_j + 1) for j <= t telescope to 1 - 1/r_{t+1}; the tests verify both.
+    """
+    r, s = 1, Fraction(0)
+    while True:
+        s += Fraction(1, r)
+        yield r, s
+        r = r * (r + 1)
 
 
 def closed_form_pieces(params: HarmonicParams) -> tuple[int, int, int, Fraction]:
@@ -86,7 +110,9 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     it is the zero vector, scoring mu); for mu < 1 it is a heuristic and is
     validated against the exhaustive solver in the tests only.
     """
-    counts = zero_counts(params)
+    if params.k > MAX_VECTOR_K:
+        raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
+    counts = [0] * (params.k - 1)
     _, q, _, _ = closed_form_pieces(params)
     for r, _ in islice(sylvester_rows(), q):
         counts[r - 1] = 1

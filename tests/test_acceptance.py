@@ -17,8 +17,7 @@ from harmonic_knapsack.binpack import adversarial_instance, harmonic_pack
 from harmonic_knapsack.exactnum import to_decimal
 from harmonic_knapsack.harmonic import HarmonicParams, eval_fk
 from harmonic_knapsack.ip_model import solve_brute
-from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form
-from harmonic_knapsack.sylvester import sylvester_rows
+from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form, sylvester_rows
 from helpers import clamped_eps, profit
 from reference_values import (
     FAMILY_RANGE,

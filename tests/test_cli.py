@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -580,6 +581,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("1/3")
+
+
+def test_closed_stdout_exits_one_quietly():
+    # A reader that stops early (`... | head -c 10`) closes the pipe while
+    # witness still has most of its 110,001 bytes to write. The other calls
+    # are closed on before the interpreter is up, so on a buffered stdout
+    # their few bytes fail only on the flush. None may print a message, then
+    # or at interpreter exit. (On an unbuffered stdout argparse drops the
+    # failed write of --help itself and exits 0.)
+    witness = ["witness", "--k", "10000", "--mu", "3"]
+    sylvester = ["sylvester", "--count", "3"]
+    for argv, keep, unbuffered in (
+        (witness, 10, ""), (witness, 10, "1"), (sylvester, 0, ""), (sylvester, 0, "1"), (["--help"], 0, ""),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "harmonic_knapsack", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b""), (argv, unbuffered)
 
 
 # Option values for the fuzz test: edge cases, huge and malformed input. The

@@ -120,6 +120,44 @@ def reference_bnb(params):
     return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), None, nodes)
 
 
+def oracle_search(params):
+    """(opt, argmax) by a depth-first search that shares no shortcut with solve_bnb.
+
+    Exact Fractions, no scaling. Every class 1..k-1 is branched in order, each
+    on every count that keeps the cost below 1, largest first. A count is
+    pruned on its own bound alone: the capacity left times the best
+    gain/size ratio over the classes after it (0 if none gains), read from a
+    suffix table built by a plain scan. Ties go to the lexicographically
+    smallest vector by an explicit tuple comparison. It recurses once per
+    class, so the caller must allow k frames.
+    """
+    k, mu = params.k, params.mu
+    sizes = [F(1, j + 1) for j in range(1, k)]
+    gains = [F(1, j) - mu * size for j, size in zip(range(1, k), sizes)]
+    ratios = [F(0)] * k  # ratios[i]: best over the classes at positions i and later
+    for i in range(k - 2, -1, -1):
+        ratios[i] = max(ratios[i + 1], gains[i] / sizes[i])
+    counts = [0] * (k - 1)
+    best = None
+
+    def fill(i, free, gained):
+        nonlocal best
+        if i == k - 1:
+            vector = tuple(counts)
+            if best is None or gained > best[0] or (gained == best[0] and vector < best[1]):
+                best = (gained, vector)
+            return
+        for c in range(math.ceil(free / sizes[i]) - 1, -1, -1):
+            rest, got = free - c * sizes[i], gained + c * gains[i]
+            if best is None or got + rest * ratios[i + 1] >= best[0]:
+                counts[i] = c
+                fill(i + 1, rest, got)
+        counts[i] = 0
+
+    fill(0, F(1), F(0))
+    return mu + best[0], best[1]
+
+
 def oracle_feasible(k):
     """Independent enumeration: full cartesian product, then filter on cost.
 
@@ -334,6 +372,22 @@ def test_solve_bnb_matches_committed_optima_past_the_brute_cap():
         for mu, (opt, classes) in by_mu.items():
             argmax = tuple(classes.get(j, 0) for j in range(1, k))
             assert solve_bnb(HarmonicParams(k, mu))[:2] == (opt, argmax), (k, mu)
+
+
+def test_solve_bnb_matches_the_shortcut_free_oracle():
+    # past the exhaustive search's reach: k = 15..40 and two large k, below
+    # mu = 1, against a search with none of solve_bnb's shortcuts
+    slopes = sorted({F(a, b) for b in range(1, 6) for a in range(b)})
+    cases = [(k, mu) for k in range(15, 41) for mu in slopes]
+    cases += [(k, mu) for k in (200, BNB_CAP) for mu in (F(0), F(1, 2), F(5, 12), F(9, 11))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + BNB_CAP)  # the oracle is k frames deep
+    try:
+        for k, mu in cases:
+            params = HarmonicParams(k, mu)
+            assert solve_bnb(params)[:2] == oracle_search(params), (k, mu)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_solve_bnb_matches_closed_form_and_greedy_from_one():

@@ -5,9 +5,15 @@ from itertools import islice
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import BNB_CAP, MAX_VECTOR_K, compute_m, cost, score, solve_brute
-from harmonic_knapsack.solvers import closed_form_pieces, greedy_solution, solve, solve_closed_form
-from harmonic_knapsack.sylvester import sylvester_rows
+from harmonic_knapsack.ip_model import BNB_CAP, compute_m, cost, score, solve_brute
+from harmonic_knapsack.solvers import (
+    MAX_VECTOR_K,
+    closed_form_pieces,
+    greedy_solution,
+    solve,
+    solve_closed_form,
+    sylvester_rows,
+)
 
 F = Fraction
 

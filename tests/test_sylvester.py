@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import islice
 
 from harmonic_knapsack.exactnum import to_decimal
-from harmonic_knapsack.sylvester import sylvester_rows
+from harmonic_knapsack.solvers import sylvester_rows
 from reference_values import SEQUENCE_FIRST_SEVEN
 
 F = Fraction
