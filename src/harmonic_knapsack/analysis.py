@@ -59,7 +59,7 @@ def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     j <= min(m, k - 1) < r_{Q+1}, that eps is at most 1/(r_{Q+1} - 1) <= 1/j,
     which keeps every item inside its class.
     """
-    counts, _ = greedy_solution(params)
+    counts = greedy_solution(params).counts
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -98,7 +98,7 @@ def tinf_bracket(t: int) -> LimitBracket:
         raise ValueError("t must be in [2, 12]")
     (r_prev, _), (r_t, lower) = islice(sylvester_rows(), t - 2, t)
     k = r_prev + 2
-    upper = solve_closed_form(HarmonicParams(k, Fraction(k, k - 1))).opt
+    upper = solve_closed_form(HarmonicParams(k, mu_for("lee", k))).opt
     telescoped = lower + Fraction(1, r_t * (r_prev + 1))
     if upper != telescoped:
         raise AssertionError(

@@ -199,7 +199,7 @@ def _cmd_ip_opt(args, parser) -> None:
     params = _params(args)
     outcome = solve(params, method=args.method)
     decimal = to_decimal(outcome.opt, args.digits)
-    report, counts = outcome.report, outcome.counts
+    counts, feasible = outcome.counts, outcome.feasible_count
     m, q, r_next, s_next = closed_form_pieces(params)
     if m == 0:  # k = 1 or mu >= 2: no class is in play, so the pieces are undefined
         m = q = r_next = s_next = None
@@ -210,20 +210,20 @@ def _cmd_ip_opt(args, parser) -> None:
         "opt": outcome.opt,
         "decimal": decimal,
         "argmax": counts,
-        "feasible_count": report.feasible_count if report else None,
-        "nodes_visited": report.nodes_visited if report else None,
+        "feasible_count": feasible,
+        "nodes_visited": outcome.nodes_visited,
         "m": m,
         "q": q,
         "r_next": str(r_next) if r_next is not None else None,
         "s_next": s_next,
     }
     argmax = " ".join(map(str, counts)) if counts is not None else ""
-    row = [outcome.opt, decimal, outcome.method, argmax, report.feasible_count if report else ""]
+    row = [outcome.opt, decimal, outcome.method, argmax, "" if feasible is None else feasible]
     lines = [f"opt = {outcome.opt} = {decimal}", f"method = {outcome.method}"]
     if counts is not None:
         lines.append(f"argmax = ({', '.join(map(str, counts))})")
-    if report is not None:
-        lines.append(f"feasible_count = {report.feasible_count}")
+    if feasible is not None:
+        lines.append(f"feasible_count = {feasible}")
     if args.explain and m is None:
         lines.append("explain: m is undefined (needs k >= 2 and mu < 2)")
     elif args.explain:

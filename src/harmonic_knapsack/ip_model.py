@@ -1,7 +1,8 @@
-"""The count-vector model (score, cost, compute_m) and its two exact searches.
+"""The count-vector model (score, cost, compute_m), its two exact searches and their answer record.
 
 The closed form, greedy and MAX_VECTOR_K, the bound on explicit count
-vectors, live in solvers; each search here has its own smaller cap.
+vectors, live in solvers; each search here has its own smaller cap. Every
+route, here and in solvers, returns one SolveOutcome.
 
 A candidate assigns a non-negative count to each size class j in [1, k-1].
 Its cost is sum counts[j-1]/(j+1), and it is feasible when the cost stays
@@ -38,7 +39,7 @@ __all__ = [
     "BNB_CAP",
     "BRUTE_CAP",
     "IpSolution",
-    "SolveReport",
+    "SolveOutcome",
     "compute_m",
     "score",
     "cost",
@@ -66,13 +67,23 @@ BRUTE_CAP = 14
 BNB_CAP = 1_000
 
 
-class SolveReport(NamedTuple):
-    """Outcome of one search run; branch-and-bound counts no feasible vectors (None)."""
+class SolveOutcome(NamedTuple):
+    """One route's answer: the optimal (or greedy) score and the route that produced it.
+
+    counts is the vector reaching opt, None from the closed form; feasible_count
+    comes from the exhaustive search only, nodes_visited from either search.
+    """
 
     opt: Fraction
-    argmax: IpSolution
-    feasible_count: Optional[int]
-    nodes_visited: int
+    method: str
+    counts: Optional[IpSolution] = None
+    feasible_count: Optional[int] = None
+    nodes_visited: Optional[int] = None
+
+    @property
+    def argmax(self) -> Optional[IpSolution]:
+        """counts under its old name, read only; it stays until perfbench reads counts."""
+        return self.counts
 
 
 def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
@@ -89,7 +100,7 @@ def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
     return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 
-def solve_brute(params: HarmonicParams) -> SolveReport:
+def solve_brute(params: HarmonicParams) -> SolveOutcome:
     """Maximize the score over all feasible count vectors.
 
     Ties break toward the lexicographically smallest vector, the first
@@ -112,7 +123,7 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
         raise ValueError(f"k exceeds the exhaustive-search cap {BRUTE_CAP}")
     k = params.k
     if k == 1:  # no class to fill: the empty vector is the only leaf
-        return SolveReport(params.mu, (), 1, 0)
+        return SolveOutcome(params.mu, "brute", (), 1, 0)
     d = math.lcm(*range(1, k + 1))
     p, q = params.mu.as_integer_ratio()
     steps = [d // (j + 1) for j in range(1, k)]
@@ -157,7 +168,7 @@ def solve_brute(params: HarmonicParams) -> SolveReport:
     # subtree refers to itself, so it and memo form a cycle that only the
     # cyclic collector would free; drop the summaries now
     memo.clear()
-    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), n_feasible, nodes)
+    return SolveOutcome(Fraction(p * d + best, q * d), "brute", tuple(argmax), n_feasible, nodes)
 
 
 def compute_m(params: HarmonicParams) -> int:
@@ -175,7 +186,7 @@ def compute_m(params: HarmonicParams) -> int:
     return min(k - 1, -(-q // (p - q)) - 1)
 
 
-def solve_bnb(params: HarmonicParams) -> SolveReport:
+def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     """Maximize the score by depth-first branch-and-bound; same opt and argmax as solve_brute.
 
     Classes are fixed in order j = 1, 2, ..., each trying its counts from
@@ -199,7 +210,7 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     A class's step d/(j+1), gain q*d/j - p*step and ratio are derived when
     the search fills it, so the cost follows the nodes visited rather than
     k; the per-class lists are the m counts, the incumbent and the returned
-    argmax (the incumbent plus k-1-m zeros). A call of branch fills a class
+    counts (the incumbent plus k-1-m zeros). A call of branch fills a class
     with its largest count and recurses once per positive count, lowering
     the count by one after each subtree; step and gain stay in its locals,
     so a back-track divides nothing. At count 0 the call loops on to the
@@ -258,4 +269,4 @@ def solve_bnb(params: HarmonicParams) -> SolveReport:
     branch(0, d - 1, 0)  # a vector fits when its scaled load is at most d - 1
     del branch  # it refers to itself; drop the cycle rather than leave it to gc
     argmax = tuple(incumbent) + (0,) * (params.k - 1 - n)
-    return SolveReport(Fraction(p * d + best, qd), argmax, None, nodes)
+    return SolveOutcome(Fraction(p * d + best, qd), "bnb", argmax, None, nodes)

@@ -17,21 +17,21 @@ For k >= 2 and mu < 1 no closed form applies; solve's auto route sends that
 corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
 check against the exhaustive solver and against committed optima past its cap.
 The auto test and solve_closed_form's guard read mu as its lowest-terms
-integer pair p/q and compare p < q, so no Fraction comparison runs.
+integer pair p/q and compare p < q, so no Fraction comparison runs. Every
+route returns ip_model.SolveOutcome, and solve hands each route's record on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 from .harmonic import HarmonicParams
-from .ip_model import IpSolution, SolveReport, compute_m, score, solve_bnb, solve_brute
+from .ip_model import SolveOutcome, compute_m, score, solve_bnb, solve_brute
 
 __all__ = [
     "MAX_VECTOR_K",
-    "SolveOutcome",
     "sylvester_rows",
     "closed_form_pieces",
     "solve_closed_form",
@@ -44,19 +44,6 @@ __all__ = [
 # its k filler items packed, in well under a second; ten times larger the
 # latter takes seconds, and far larger k cannot be allocated at all.
 MAX_VECTOR_K = 10_000
-
-
-class SolveOutcome(NamedTuple):
-    """Optimal (or greedy) score together with which route produced it.
-
-    counts is the vector reaching opt (greedy, brute and bnb); report is the
-    exhaustive run's SolveReport (brute only).
-    """
-
-    opt: Fraction
-    method: str
-    counts: Optional[IpSolution] = None
-    report: Optional[SolveReport] = None
 
 
 def sylvester_rows() -> Iterator[tuple[int, Fraction]]:
@@ -100,7 +87,7 @@ def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
     return SolveOutcome(s_next + (params.mu - 1) / r_next, "closed")
 
 
-def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
+def greedy_solution(params: HarmonicParams) -> SolveOutcome:
     """Greedy vector: one item in each class that is a sequence term <= m.
 
     Repeatedly incrementing the cheapest useful class while the cost stays
@@ -117,29 +104,29 @@ def greedy_solution(params: HarmonicParams) -> tuple[IpSolution, Fraction]:
     for r, _ in islice(sylvester_rows(), q):
         counts[r - 1] = 1
     picked = tuple(counts)
-    return picked, score(picked, params)
+    return SolveOutcome(score(picked, params), "greedy", picked)
 
 
 def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
-    """Dispatch to a solver: auto, brute, closed or greedy.
+    """Dispatch to a solver, auto, brute, closed or greedy, and return its record unchanged.
 
     auto prefers the closed form. In the k >= 2, mu < 1 corner the closed
     form does not cover it runs the branch-and-bound search instead, which
     accepts k up to ip_model.BNB_CAP, and returns method "bnb" with the
-    lexicographically smallest maximizer as counts and no report.
+    lexicographically smallest maximizer as counts. That one record is
+    rebuilt without the search's node count, so ip-opt keeps printing
+    nodes_visited as null for bnb, as the README and its golden outputs show.
     """
     if method == "auto":
         p, q = params.mu.as_integer_ratio()
         if params.k >= 2 and p < q:
             result = solve_bnb(params)
-            return SolveOutcome(result.opt, "bnb", result.argmax)
+            return SolveOutcome(result.opt, "bnb", result.counts)
         return solve_closed_form(params)
     if method == "brute":
-        report = solve_brute(params)
-        return SolveOutcome(report.opt, "brute", report.argmax, report)
+        return solve_brute(params)
     if method == "closed":
         return solve_closed_form(params)
     if method == "greedy":
-        counts, value = greedy_solution(params)
-        return SolveOutcome(value, "greedy", counts)
+        return greedy_solution(params)
     raise ValueError(f"unknown method {method!r}; expected auto, brute, closed or greedy")

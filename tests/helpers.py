@@ -14,5 +14,5 @@ def profit(params, items) -> Fraction:
 
 def clamped_eps(params, eps) -> Fraction:
     """The eps a witness for params is built with: at most 1/cost - 1 of the greedy vector."""
-    load = cost(greedy_solution(params)[0], params)
+    load = cost(greedy_solution(params).counts, params)
     return min(eps, 1 / load - 1) if load else eps

@@ -67,7 +67,7 @@ def test_criterion_3_three_solvers_agree():
             params = HarmonicParams(k, mu)
             brute = solve_brute(params).opt
             closed = solve_closed_form(params).opt
-            greedy = greedy_solution(params)[1]
+            greedy = greedy_solution(params).opt
             ok = ok and brute == closed == greedy
             points += 1
     elapsed = time.perf_counter() - start

@@ -72,7 +72,7 @@ def test_witness_items_stay_in_their_classes():
         sizes = build_witness(params, eps)
         eps = clamped_eps(params, eps)
         assert sum(sizes) == 1, (params, eps)
-        counts, _ = greedy_solution(params)
+        counts = greedy_solution(params).counts
         classes = [j for j, c in enumerate(counts, start=1) if c]
         head, fillers = sizes[: len(classes)], sizes[len(classes) :]
         assert head == tuple(F(1 + eps, j + 1) for j in classes), (params, eps)
@@ -86,7 +86,7 @@ def test_witness_profit_identity():
     for params, eps in witness_grid():
         sizes = build_witness(params, eps)
         eps = clamped_eps(params, eps)
-        counts, _ = greedy_solution(params)
+        counts = greedy_solution(params).counts
         s = cost(counts, params)
         assert profit(params, sizes) == score(counts, params) - params.mu * eps * s, (params, eps)
 
@@ -102,7 +102,7 @@ def test_witness_counts_choice_and_clamp():
     # greedy classes 1, 2, 6 below mu = 2; eps clamped to 1/cost - 1 = 1/41
     # at cost 41/42, where the three items fill the bin without a filler
     params = HarmonicParams(10, F(10, 9))
-    assert greedy_solution(params)[0] == (1, 1, 0, 0, 0, 1, 0, 0, 0)
+    assert greedy_solution(params).counts == (1, 1, 0, 0, 0, 1, 0, 0, 0)
     assert build_witness(params, F(1, 10)) == (F(21, 41), F(14, 41), F(6, 41))
     assert build_witness(params, F(1, 100))[:3] == (F(101, 200), F(101, 300), F(101, 700))
     # below mu = 1 greedy is only a heuristic, but it is still the source

@@ -305,7 +305,7 @@ def test_ip_opt_greedy(capsys):
     assert "argmax = (1, 1, 0, 0, 0, 0)" in out
 
 
-def test_brute_cap_env(capsys):
+def test_brute_cap(capsys):
     assert run(["ip-opt", "--k", "15", "--mu", "15/14", "--method", "brute"]) == 1
     assert "exhaustive-search cap 14" in capsys.readouterr().err
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import BNB_CAP, SolveReport, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.ip_model import BNB_CAP, SolveOutcome, cost, score, solve_bnb, solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve_closed_form
 from reference_values import BEYOND_BRUTE_CAP
 
@@ -51,7 +51,7 @@ def reference_brute(params):
         counts[pos] = 0
 
     extend(0, 0, p * d)
-    return SolveReport(Fraction(best, q * d), best_counts, n_feasible, nodes)
+    return SolveOutcome(Fraction(best, q * d), "brute", best_counts, n_feasible, nodes)
 
 
 def reference_bnb(params):
@@ -117,7 +117,7 @@ def reference_bnb(params):
     argmax = [0] * (k - 1)
     for i, value in best_path:
         argmax[i] = value
-    return SolveReport(Fraction(p * d + best, q * d), tuple(argmax), None, nodes)
+    return SolveOutcome(Fraction(p * d + best, q * d), "bnb", tuple(argmax), None, nodes)
 
 
 def oracle_search(params):
@@ -214,7 +214,7 @@ def test_enumeration_matches_product_oracle():
             rep = solve_brute(params)
             assert rep.feasible_count == len(feasible)
             scores = [score(z, params) for z in feasible]
-            assert rep.argmax == feasible[scores.index(max(scores))]
+            assert rep.counts == feasible[scores.index(max(scores))]
 
 
 def test_count_within_factorial():
@@ -225,12 +225,12 @@ def test_count_within_factorial():
 
 def test_solve_brute_examples():
     rep = solve_brute(HarmonicParams(4, F(4, 3)))
-    assert (rep.opt, rep.argmax) == (F(31, 18), (1, 1, 0))
+    assert (rep.opt, rep.counts) == (F(31, 18), (1, 1, 0))
     rep = solve_brute(HarmonicParams(2, F(2)))
     # zero coefficient at class 1 makes (0,) and (1,) tie; lexicographic wins
-    assert (rep.opt, rep.argmax) == (F(2), (0,))
+    assert (rep.opt, rep.counts) == (F(2), (0,))
     rep = solve_brute(HarmonicParams(1, F(3, 4)))
-    assert (rep.opt, rep.argmax) == (F(3, 4), ())
+    assert (rep.opt, rep.counts) == (F(3, 4), ())
 
 
 def test_solve_brute_matches_oracle():
@@ -281,8 +281,8 @@ def test_memo_is_released():
 def test_report_is_consistent():
     params = HarmonicParams(6, F(6, 5))
     rep = solve_brute(params)
-    assert cost(rep.argmax, params) < 1
-    assert score(rep.argmax, params) == rep.opt
+    assert cost(rep.counts, params) < 1
+    assert score(rep.counts, params) == rep.opt
     assert rep.feasible_count == len(oracle_feasible(6))
     assert rep.nodes_visited >= rep.feasible_count
     assert solve_brute(params) == rep  # deterministic
@@ -346,12 +346,12 @@ def test_solve_bnb_matches_solve_brute_below_one():
     for k in range(2, 15):
         for mu in slopes:
             params = HarmonicParams(k, mu)
-            rep = solve_brute(params)
-            assert solve_bnb(params)[:2] == (rep.opt, rep.argmax), (k, mu)
+            rep, out = solve_brute(params), solve_bnb(params)
+            assert (out.opt, out.counts) == (rep.opt, rep.counts), (k, mu)
     # the stored steps and gains on a 61-digit p and q
     params = HarmonicParams(14, F(10**60 - 1, 10**60))
-    rep = solve_brute(params)
-    assert solve_bnb(params)[:2] == (rep.opt, rep.argmax)
+    rep, out = solve_brute(params), solve_bnb(params)
+    assert (out.opt, out.counts) == (rep.opt, rep.counts)
 
 
 def test_solve_bnb_walks_the_reference_tree():
@@ -371,7 +371,8 @@ def test_solve_bnb_matches_committed_optima_past_the_brute_cap():
     for k, by_mu in BEYOND_BRUTE_CAP.items():
         for mu, (opt, classes) in by_mu.items():
             argmax = tuple(classes.get(j, 0) for j in range(1, k))
-            assert solve_bnb(HarmonicParams(k, mu))[:2] == (opt, argmax), (k, mu)
+            out = solve_bnb(HarmonicParams(k, mu))
+            assert (out.opt, out.counts) == (opt, argmax), (k, mu)
 
 
 def test_solve_bnb_matches_the_shortcut_free_oracle():
@@ -385,7 +386,8 @@ def test_solve_bnb_matches_the_shortcut_free_oracle():
     try:
         for k, mu in cases:
             params = HarmonicParams(k, mu)
-            assert solve_bnb(params)[:2] == oracle_search(params), (k, mu)
+            out = solve_bnb(params)
+            assert (out.opt, out.counts) == oracle_search(params), (k, mu)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -398,8 +400,8 @@ def test_solve_bnb_matches_closed_form_and_greedy_from_one():
                 continue
             params = HarmonicParams(k, mu)
             rep = solve_bnb(params)
-            assert rep.opt == solve_closed_form(params).opt == greedy_solution(params)[1], (k, mu)
-            assert cost(rep.argmax, params) < 1 and score(rep.argmax, params) == rep.opt, (k, mu)
+            assert rep.opt == solve_closed_form(params).opt == greedy_solution(params).opt, (k, mu)
+            assert cost(rep.counts, params) < 1 and score(rep.counts, params) == rep.opt, (k, mu)
 
 
 @st.composite
@@ -414,15 +416,15 @@ def small_params(draw):
 def test_solve_bnb_agrees_with_the_other_routes(params):
     rep = solve_bnb(params)
     brute = solve_brute(params)
-    assert (rep.opt, rep.argmax) == (brute.opt, brute.argmax)
+    assert (rep.opt, rep.counts) == (brute.opt, brute.counts)
     if params.mu >= 1 or params.k == 1:
-        assert rep.opt == solve_closed_form(params).opt == greedy_solution(params)[1]
+        assert rep.opt == solve_closed_form(params).opt == greedy_solution(params).opt
 
 
 def test_solve_bnb_prunes():
     # the full tree at k = 14 has 237,931 nodes
     assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 29
-    assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), (), None, 0)
+    assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), "bnb", (), None, 0)
 
 
 def test_solve_bnb_recursion_stays_shallow():

@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import BNB_CAP, compute_m, cost, score, solve_brute
+from harmonic_knapsack.ip_model import BNB_CAP, SolveOutcome, compute_m, cost, score, solve_bnb, solve_brute
 from harmonic_knapsack.solvers import (
     MAX_VECTOR_K,
     closed_form_pieces,
@@ -130,23 +130,23 @@ def test_closed_form_pieces():
 
 
 def test_greedy_examples():
-    counts, value = greedy_solution(HarmonicParams(7, F(7, 6)))
-    assert counts == (1, 1, 0, 0, 0, 0)
-    assert value == F(61, 36)
-    counts, value = greedy_solution(HarmonicParams(4, F(4, 3)))
-    assert (counts, value) == ((1, 1, 0), F(31, 18))
-    counts, value = greedy_solution(HarmonicParams(2, F(3, 2)))
-    assert (counts, value) == ((1,), F(7, 4))
-    assert value == solve_brute(HarmonicParams(2, F(3, 2))).opt
+    out = greedy_solution(HarmonicParams(7, F(7, 6)))
+    assert out.counts == (1, 1, 0, 0, 0, 0)
+    assert out.opt == F(61, 36)
+    out = greedy_solution(HarmonicParams(4, F(4, 3)))
+    assert (out.counts, out.opt) == ((1, 1, 0), F(31, 18))
+    out = greedy_solution(HarmonicParams(2, F(3, 2)))
+    assert (out.counts, out.opt) == ((1,), F(7, 4))
+    assert out.opt == solve_brute(HarmonicParams(2, F(3, 2))).opt
 
 
 def test_greedy_preconditions():
     # at m = 0 no term is taken (Q = 0): the zero vector, which scores mu
-    assert greedy_solution(HarmonicParams(1, F(1))) == ((), F(1))
-    assert greedy_solution(HarmonicParams(1, F(1, 3))) == ((), F(1, 3))
-    assert greedy_solution(HarmonicParams(5, F(2))) == ((0, 0, 0, 0), F(2))
-    assert greedy_solution(HarmonicParams(5, F(9, 2))) == ((0, 0, 0, 0), F(9, 2))
-    counts, _ = greedy_solution(HarmonicParams(MAX_VECTOR_K, F(3, 2)))
+    assert greedy_solution(HarmonicParams(1, F(1))) == SolveOutcome(F(1), "greedy", ())
+    assert greedy_solution(HarmonicParams(1, F(1, 3))) == SolveOutcome(F(1, 3), "greedy", ())
+    assert greedy_solution(HarmonicParams(5, F(2))) == SolveOutcome(F(2), "greedy", (0, 0, 0, 0))
+    assert greedy_solution(HarmonicParams(5, F(9, 2))) == SolveOutcome(F(9, 2), "greedy", (0, 0, 0, 0))
+    counts = greedy_solution(HarmonicParams(MAX_VECTOR_K, F(3, 2))).counts
     assert len(counts) == MAX_VECTOR_K - 1
     with pytest.raises(ValueError, match="count vector"):
         greedy_solution(HarmonicParams(MAX_VECTOR_K + 1, F(3, 2)))
@@ -177,11 +177,11 @@ def test_greedy_picks_sequence_prefix():
             if mu > k:
                 continue
             params = HarmonicParams(k, mu)
-            counts, value = greedy_solution(params)
-            assert counts == cheapest_class_greedy(params), (k, mu)
+            out = greedy_solution(params)
+            assert out.counts == cheapest_class_greedy(params), (k, mu)
             _, _, r_next, s_next = closed_form_pieces(params)
-            assert cost(counts, params) == 1 - F(1, r_next), (k, mu)
-            assert value == s_next + (mu - 1) / r_next, (k, mu)
+            assert cost(out.counts, params) == 1 - F(1, r_next), (k, mu)
+            assert out.opt == s_next + (mu - 1) / r_next, (k, mu)
 
 
 def test_prefix_costs_telescope():
@@ -208,7 +208,7 @@ def test_prefix_scores_increase():
         values.append(score(tuple(counts), params))
     for lo, hi in zip(values, values[1:]):
         assert lo < hi
-    assert values[-1] == greedy_solution(params)[1]
+    assert values[-1] == greedy_solution(params).opt
 
 
 def test_three_routes_agree_on_sample_grid():
@@ -218,7 +218,7 @@ def test_three_routes_agree_on_sample_grid():
             params = HarmonicParams(k, mu)
             brute = solve_brute(params).opt
             closed = solve_closed_form(params).opt
-            greedy = greedy_solution(params)[1]
+            greedy = greedy_solution(params).opt
             assert brute == closed == greedy, (k, mu)
     # m = 0: k = 1 has no classes, mu >= 2 no positive coefficient
     edge = [(1, mu) for mu in (F(0), F(1, 2), F(1))]
@@ -227,7 +227,7 @@ def test_three_routes_agree_on_sample_grid():
         params = HarmonicParams(k, mu)
         brute = solve_brute(params).opt
         closed = solve_closed_form(params).opt
-        greedy = greedy_solution(params)[1]
+        greedy = greedy_solution(params).opt
         assert brute == closed == greedy == mu, (k, mu)
 
 
@@ -235,16 +235,15 @@ def test_greedy_below_one_is_heuristic():
     # below mu = 1 the greedy value can trail the optimum; k=5, mu=0 is the
     # smallest miss: greedy stops at 3/2 while (1,0,1,1) scores 19/12
     params = HarmonicParams(5, F(0))
-    counts, value = greedy_solution(params)
-    assert value == F(3, 2)
+    assert greedy_solution(params).opt == F(3, 2)
     assert solve_brute(params).opt == F(19, 12)
     # it still produces a feasible vector and never beats the optimum
     for mu in [F(0), F(1, 2), F(7, 8)]:
         for k in range(2, 9):
             p = HarmonicParams(k, mu)
-            c, v = greedy_solution(p)
-            assert cost(c, p) < 1
-            assert v <= solve_brute(p).opt
+            out = greedy_solution(p)
+            assert cost(out.counts, p) < 1
+            assert out.opt <= solve_brute(p).opt
 
 
 def test_solve_dispatch():
@@ -275,16 +274,29 @@ def test_solve_dispatch():
 
 
 def test_results_expose_their_fields():
-    out = solve(HarmonicParams(3, F(1, 2)))
-    assert (out.opt, out.method, out.counts, out.report) == (F(19, 12), "bnb", (1, 1), None)
-    out = solve(HarmonicParams(3, F(1, 2)), method="brute")
-    assert (out.opt, out.method, out.counts) == (F(19, 12), "brute", (1, 1))
-    report = out.report
-    assert (report.opt, report.argmax, report.feasible_count, report.nodes_visited) == (F(19, 12), (1, 1), 5, 8)
+    assert SolveOutcome._fields == ("opt", "method", "counts", "feasible_count", "nodes_visited")
+    params = HarmonicParams(3, F(1, 2))
+    out = solve(params)
+    assert type(out) is SolveOutcome
+    assert (out.opt, out.method, out.counts, out.feasible_count) == (F(19, 12), "bnb", (1, 1), None)
+    # auto's bnb record carries no node count, though the search counts its nodes
+    assert (out.nodes_visited, solve_bnb(params).nodes_visited) == (None, 4)
+    out = solve(params, method="brute")
+    assert (out.opt, out.method, out.counts, out.feasible_count, out.nodes_visited) == (F(19, 12), "brute", (1, 1), 5, 8)
+    # argmax is counts under its old name, read only
+    assert solve_brute(params).argmax == solve_brute(params).counts == (1, 1)
+    with pytest.raises(AttributeError):
+        out.argmax = (0, 0)
     out = solve(HarmonicParams(4, F(4, 3)), method="closed")
-    assert (out.opt, out.method, out.counts, out.report) == (F(31, 18), "closed", None, None)
+    assert out == (F(31, 18), "closed", None, None, None)
     with pytest.raises(AttributeError):
         out.opt = F(0)
+    # every route returns the one record
+    routes = [solve_brute, solve_bnb, solve_closed_form, greedy_solution]
+    routes += [lambda params, method=method: solve(params, method) for method in ("auto", "brute", "closed", "greedy")]
+    for params in (HarmonicParams(4, F(4, 3)), HarmonicParams(1, F(1, 2))):
+        for route in routes:
+            assert type(route(params)) is SolveOutcome, (route, params)
 
 
 def test_auto_below_one_up_to_the_cap_within_budget():
@@ -295,7 +307,7 @@ def test_auto_below_one_up_to_the_cap_within_budget():
     for mu in slopes:
         params = HarmonicParams(BNB_CAP, mu)
         out = solve(params)
-        assert out.method == "bnb" and out.report is None
+        assert out.method == "bnb" and out.nodes_visited is None
         assert cost(out.counts, params) < 1 and score(out.counts, params) == out.opt
     assert time.perf_counter() - start < 5.0
     with pytest.raises(ValueError, match="branch-and-bound cap"):
