@@ -211,7 +211,8 @@ def _cmd_ip_opt(args, parser) -> None:
         "decimal": decimal,
         "argmax": counts,
         "feasible_count": feasible,
-        "nodes_visited": outcome.nodes_visited,
+        # search counts print only beside the exhaustive search's feasible count
+        "nodes_visited": None if feasible is None else outcome.nodes_visited,
         "m": m,
         "q": q,
         "r_next": str(r_next) if r_next is not None else None,
@@ -341,8 +342,16 @@ def _add_eps(sub) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that --help lets a failed write raise, so a
+    closed stdout exits 1 as for any output; subparsers are built from it too."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmonic-knapsack",
         description="Exact max-knapsack-profit of the size-classed harmonic "
         "payoff function, plus an online bin-packing simulator.",
@@ -397,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    if sys.stdout is None:  # started with fd 1 closed: write into a pipe nobody reads
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w", closefd=False)
     parser = build_parser()
     argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
     try:

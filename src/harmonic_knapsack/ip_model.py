@@ -21,8 +21,8 @@ the class, so its cost follows the nodes visited rather than k. It
 recurses once per class holding a positive count, at most 632 classes deep
 at k = 1,000, and its incumbent is a copy of the count vector.
 
-Both searches run on plain integers: with L = lcm(1..k) and mu = p/q, costs
-are scaled by L and scores by q*L, so every comparison is exact without
+Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
+are scaled by d and scores by q*d, so every comparison is exact without
 per-node Fraction churn. The public score/cost helpers stay
 Fraction-based and are cross-checked against the scaled path in the tests.
 """

@@ -18,7 +18,7 @@ corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
 check against the exhaustive solver and against committed optima past its cap.
 The auto test and solve_closed_form's guard read mu as its lowest-terms
 integer pair p/q and compare p < q, so no Fraction comparison runs. Every
-route returns ip_model.SolveOutcome, and solve hands each route's record on.
+route returns ip_model.SolveOutcome, which solve passes on unchanged.
 """
 
 from __future__ import annotations
@@ -113,15 +113,12 @@ def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
     auto prefers the closed form. In the k >= 2, mu < 1 corner the closed
     form does not cover it runs the branch-and-bound search instead, which
     accepts k up to ip_model.BNB_CAP, and returns method "bnb" with the
-    lexicographically smallest maximizer as counts. That one record is
-    rebuilt without the search's node count, so ip-opt keeps printing
-    nodes_visited as null for bnb, as the README and its golden outputs show.
+    lexicographically smallest maximizer as counts.
     """
     if method == "auto":
         p, q = params.mu.as_integer_ratio()
         if params.k >= 2 and p < q:
-            result = solve_bnb(params)
-            return SolveOutcome(result.opt, "bnb", result.counts)
+            return solve_bnb(params)
         return solve_closed_form(params)
     if method == "brute":
         return solve_brute(params)

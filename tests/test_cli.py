@@ -588,12 +588,12 @@ def test_closed_stdout_exits_one_quietly():
     # witness still has most of its 110,001 bytes to write. The other calls
     # are closed on before the interpreter is up, so on a buffered stdout
     # their few bytes fail only on the flush. None may print a message, then
-    # or at interpreter exit. (On an unbuffered stdout argparse drops the
-    # failed write of --help itself and exits 0.)
+    # or at interpreter exit.
     witness = ["witness", "--k", "10000", "--mu", "3"]
     sylvester = ["sylvester", "--count", "3"]
     for argv, keep, unbuffered in (
-        (witness, 10, ""), (witness, 10, "1"), (sylvester, 0, ""), (sylvester, 0, "1"), (["--help"], 0, ""),
+        (witness, 10, ""), (witness, 10, "1"), (sylvester, 0, ""), (sylvester, 0, "1"),
+        (["--help"], 0, ""), (["--help"], 0, "1"), (["ip-opt", "--help"], 0, "1"),
     ):
         proc = subprocess.Popen(
             [sys.executable, "-m", "harmonic_knapsack", *argv],
@@ -605,6 +605,19 @@ def test_closed_stdout_exits_one_quietly():
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, b""), (argv, unbuffered)
+    # Started with fd 1 closed, sys.stdout is None: output exits 1 quietly,
+    # and usage and domain errors still reach stderr with their own codes.
+    for argv, code, message in (
+        (witness, 1, ""), (sylvester, 1, ""), (["--help"], 1, ""), (["ip-opt", "--help"], 1, ""),
+        (["eval", "--k", "2"], 2, "usage: harmonic-knapsack eval"),
+        (["eval", "--k", "2", "--mu", "1", "--x", "9"], 1, "error: x must lie in [0, 1]\n"),
+    ):
+        proc = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "harmonic_knapsack", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code and proc.stderr.startswith(message), (argv, proc.stderr)
+        assert bool(message) == bool(proc.stderr), (argv, proc.stderr)
 
 
 # Option values for the fuzz test: edge cases, huge and malformed input. The

@@ -278,9 +278,8 @@ def test_results_expose_their_fields():
     params = HarmonicParams(3, F(1, 2))
     out = solve(params)
     assert type(out) is SolveOutcome
-    assert (out.opt, out.method, out.counts, out.feasible_count) == (F(19, 12), "bnb", (1, 1), None)
-    # auto's bnb record carries no node count, though the search counts its nodes
-    assert (out.nodes_visited, solve_bnb(params).nodes_visited) == (None, 4)
+    assert out == (F(19, 12), "bnb", (1, 1), None, 4)
+    assert out == solve_bnb(params)
     out = solve(params, method="brute")
     assert (out.opt, out.method, out.counts, out.feasible_count, out.nodes_visited) == (F(19, 12), "brute", (1, 1), 5, 8)
     # argmax is counts under its old name, read only
@@ -297,6 +296,13 @@ def test_results_expose_their_fields():
     for params in (HarmonicParams(4, F(4, 3)), HarmonicParams(1, F(1, 2))):
         for route in routes:
             assert type(route(params)) is SolveOutcome, (route, params)
+    # solve returns each route's record unchanged, auto on both sides of mu = 1
+    above, below = HarmonicParams(4, F(4, 3)), HarmonicParams(4, F(1, 2))
+    cases = [(above, "auto", solve_closed_form), (below, "auto", solve_bnb), (above, "closed", solve_closed_form)]
+    cases += [(params, "brute", solve_brute) for params in (above, below)]
+    cases += [(params, "greedy", greedy_solution) for params in (above, below)]
+    for params, method, route in cases:
+        assert solve(params, method) == route(params), (params, method)
 
 
 def test_auto_below_one_up_to_the_cap_within_budget():
@@ -307,7 +313,7 @@ def test_auto_below_one_up_to_the_cap_within_budget():
     for mu in slopes:
         params = HarmonicParams(BNB_CAP, mu)
         out = solve(params)
-        assert out.method == "bnb" and out.nodes_visited is None
+        assert out == solve_bnb(params)
         assert cost(out.counts, params) < 1 and score(out.counts, params) == out.opt
     assert time.perf_counter() - start < 5.0
     with pytest.raises(ValueError, match="branch-and-bound cap"):
