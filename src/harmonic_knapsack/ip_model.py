@@ -13,13 +13,13 @@ order with prefix-cost pruning. Prefixes of equal load share their subtree,
 so each (position, load) subtree is solved once per call, and a last-class
 subtree is one rule: the largest count that fits. nodes_visited still
 counts the full tree. solve_bnb reaches the same opt and argmax by
-depth-first branch-and-bound with Dantzig's LP bound; it visits 29 nodes at
-k = 14, mu = 1/2, where the full tree has 237,931, so it serves far larger k.
-It searches only the classes 1..m with a positive score coefficient, m from
-compute_m, and derives a class's step, gain and bound ratio when it visits
-the class, so its cost follows the nodes visited rather than k. It
-recurses once per class holding a positive count, at most 632 classes deep
-at k = 1,000, and its incumbent is a copy of the count vector.
+depth-first branch-and-bound over 0/1 counts with Dantzig's LP bound and a
+cardinality bound; it visits 18 nodes at k = 14, mu = 1/2, where the full
+tree has 237,931, so it serves far larger k. It searches only the classes
+1..m with a positive score coefficient, m from compute_m, and derives a
+class's step and gain when it visits the class, so its cost follows the
+nodes visited rather than k. It recurses once per class it takes, at most
+632 classes deep at k = 1,000, and its incumbent is a copy of the counts.
 
 Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
 are scaled by d and scores by q*d, so every comparison is exact without
@@ -57,12 +57,12 @@ IpSolution = tuple[int, ...]
 BRUTE_CAP = 14
 
 # Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
-# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most 0.8 to
-# 1.3 ms (166 nodes; best of 5 runs, as the VM's speed drifts) at
-# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 0.15-0.17 s (up to
-# 8,600 nodes) at k = 10,000; no bound on its node count is proved, so the
-# cap stays low. Its recursion depth is bounded by the classes that can hold
-# a positive count at once: 632 at this cap, below CPython's default limit of
+# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most
+# 0.67 ms (16 nodes; best of 5 runs, and the VM's speed drifts) at
+# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 69 ms (up to 1,600
+# nodes, best of 3) at k = 10,000; no bound on its node count is proved, so
+# the cap stays low. Its recursion depth is bounded by the classes that can
+# hold an item at once: 632 at this cap, below CPython's default limit of
 # 1,000, but 6,321 at k = 10,000, so raising the cap must re-check the depth.
 BNB_CAP = 1_000
 
@@ -189,43 +189,50 @@ def compute_m(params: HarmonicParams) -> int:
 def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     """Maximize the score by depth-first branch-and-bound; same opt and argmax as solve_brute.
 
-    Classes are fixed in order j = 1, 2, ..., each trying its counts from
-    the largest that fits down to 0, so complete vectors are reached in
-    lexicographically decreasing order; a vector that ties the incumbent
-    replaces it, which leaves the lexicographically smallest maximizer. The
-    incumbent is a copy of the m counts, taken at each complete vector that
-    reaches it, and starts as the zero vector. Only the classes 1..m with a
-    positive gain are searched, m from compute_m (gain/step, q*(j+1)/j - p,
-    falls as j grows, so they form a prefix); the rest stay at 0.
+    Counts are 0 or 1. For mu > 0 no maximizer holds two items of a class j:
+    two cost 1 at j = 1, and for j >= 2 one item of class i = ceil((j-1)/2)
+    costs no more than the two, 1/(i+1) <= 2/(j+1), and scores strictly
+    more (1/i > 2/j for odd j; for even j, 1/i = 2/j and mu/(i+1) <
+    2*mu/(j+1)). At mu = 0 the even-j swap only ties, so a 0/1 maximizer
+    exists and opt is exact, but that the lexicographically smallest
+    maximizer is 0/1 is not proved: it rests on the tests' grid checks
+    against solve_brute (k <= 14) and a shortcut-free oracle (k = 15..40,
+    200 and 1,000), both with mu = 0.
 
-    The bound is Dantzig's: the classes still open can add at most the best
-    gain/step ratio among them, (q*(j+1) - p*j)/j at the first open class j
-    (0 past class m), times the free capacity. A node whose bound falls
-    below the incumbent is pruned. Lowering the count of class j only lowers
-    its bound, since the capacity freed is refilled at a ratio no better
-    than class j's own; so a pruned count prunes every smaller count of that
-    class too. Classes with no room are skipped in one step: the first class
-    whose step fits in `free` is j = ceil(d/free) - 1.
+    Classes are visited in order j = 1, 2, ..., each taken once, then
+    skipped, so complete vectors are reached in lexicographically
+    decreasing order; a vector that ties the incumbent replaces it, which
+    leaves the lexicographically smallest maximizer. The incumbent is a copy
+    of the m counts, taken at each complete vector that reaches it, and
+    starts as the zero vector. Only the classes 1..m with a positive gain
+    are searched, m from compute_m (gain/step, q*(j+1)/j - p, falls as j
+    grows, so they form a prefix); the rest stay at 0. Classes with no room
+    are skipped in one step: the first class whose step fits in `free` is
+    j = ceil(d/free) - 1, so the class visited always fits.
 
-    A class's step d/(j+1), gain q*d/j - p*step and ratio are derived when
-    the search fills it, so the cost follows the nodes visited rather than
-    k; the per-class lists are the m counts, the incumbent and the returned
-    counts (the incumbent plus k-1-m zeros). A call of branch fills a class
-    with its largest count and recurses once per positive count, lowering
-    the count by one after each subtree; step and gain stay in its locals,
-    so a back-track divides nothing. At count 0 the call loops on to the
-    next class, so only classes holding a positive count add a frame: their
-    j have sum 1/(j+1) < 1, so at k = BNB_CAP there are at most 632, below
-    the default recursion limit (the 46 slopes mu = a/b < 1 with b <= 12
-    need at most 6 frames of branch there).
-    nodes_visited counts the count assignments made: one per class filled on
-    the way down and one per count lowered on the way back.
+    Two bounds prune a node at the first open class j when they fall below
+    the incumbent. Dantzig's: the open classes add at most the best
+    gain/step ratio among them, (q*(j+1) - p*j)/j at class j, times the free
+    capacity. The cardinality bound: every class costs at least d/k, so at
+    most free // (d/k) more items fit, and each gains at most class j's
+    gain, since the gains fall with j over classes 1..m.
+
+    A class's step d/(j+1) and gain q*d/j - p*step are derived when the
+    search visits it; the per-class lists are the m counts, the incumbent
+    and the returned counts (the incumbent plus k-1-m zeros). A call of
+    branch recurses once per class it takes and loops on past the classes
+    it skips, so only classes holding an item add a frame: their j have
+    sum 1/(j+1) < 1, so at k = BNB_CAP there are at most 632, below the
+    default recursion limit (the 46 slopes mu = a/b < 1 with b <= 12 need
+    at most 6 frames of branch there). nodes_visited counts the count
+    assignments made: one per class taken and one per class set back to 0.
     """
     if params.k > BNB_CAP:
         raise ValueError(f"k exceeds the branch-and-bound cap {BNB_CAP}")
     d = math.lcm(*range(1, params.k + 1))
     p, q = params.mu.as_integer_ratio()
     qd = q * d
+    least = d // params.k  # the step of class k - 1, the smallest
     n = compute_m(params)
     counts = [0] * n
     incumbent = counts[:]  # the zero vector, score 0
@@ -248,23 +255,13 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
                 return
             step = d // (j + 1)
             gain = qd // j - p * step
-            # the bound's ratio at the next class j + 1; past class m it is 0
-            ratio = q * (j + 2) - p * (j + 1) if j < n else 0
-            counts[pos] = value = free // step
-            room = free - value * step
-            got = gained + value * gain
-            nodes += 1
-            while value:
-                branch(j, room, got)
-                value -= 1
-                counts[pos] = value
-                room += step
-                got -= gain
-                nodes += 1
-                if got * (j + 1) + ratio * room < best * (j + 1):
-                    counts[pos] = 0
-                    return
-            pos, free, gained = j, room, got
+            if gained + free // least * gain < best:
+                return
+            counts[pos] = 1
+            nodes += 2  # taken, then set back to 0
+            branch(j, free - step, gained + gain)
+            counts[pos] = 0
+            pos = j
 
     branch(0, d - 1, 0)  # a vector fits when its scaled load is at most d - 1
     del branch  # it refers to itself; drop the cycle rather than leave it to gc

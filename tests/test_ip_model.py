@@ -58,8 +58,8 @@ def reference_bnb(params):
     """The list-based branch-and-bound that solve_bnb derives lazily: same tree, same order.
 
     Every class's step, gain and bound ratio is tabulated up front, m is
-    found by scanning the gains, and the bound's ratio past class m is a 0
-    sentinel at the end of the table.
+    found by scanning the gains, and the search is a loop over an explicit
+    path of the classes taken (each holds one item) rather than recursion.
     """
     k, p, q = params.k, params.mu.numerator, params.mu.denominator
     d = math.lcm(*range(1, k + 1))
@@ -68,10 +68,10 @@ def reference_bnb(params):
     n = 0
     while n < len(gains) and gains[n] > 0:
         n += 1
-    nums = [q * (j + 1) - p * j for j in range(1, n + 1)] + [0]
-    dens = [*range(1, n + 1), 1]
+    nums = [q * (j + 1) - p * j for j in range(1, n + 1)]
+    dens = list(range(1, n + 1))
+    least = d // k
     cap = d - 1
-    counts = [0] * n
     path = []
     load = gained = best = nodes = 0
     best_path = []
@@ -83,40 +83,27 @@ def reference_bnb(params):
                 pos = max(pos, -(-d // free) - 2)
             if not free or pos >= n:
                 if gained >= best:
-                    best, best_path = gained, [(i, counts[i]) for i in path]
+                    best, best_path = gained, path[:]
                 break
             if gained * dens[pos] + nums[pos] * free < best * dens[pos]:
                 break
-            step = steps[pos]
-            value = free // step
-            counts[pos] = value
-            load += value * step
-            gained += value * gains[pos]
+            if gained + free // least * gains[pos] < best:
+                break
+            load += steps[pos]
+            gained += gains[pos]
             path.append(pos)
             nodes += 1
             pos += 1
-        while path:
-            i = path[-1]
-            step, gain = steps[i], gains[i]
-            counts[i] -= 1
-            load -= step
-            gained -= gain
-            nodes += 1
-            pos = i + 1
-            if gained * dens[pos] + nums[pos] * (cap - load) >= best * dens[pos]:
-                if not counts[i]:
-                    path.pop()
-                break
-            value = counts[i]
-            load -= value * step
-            gained -= value * gain
-            counts[i] = 0
-            path.pop()
-        else:
+        if not path:
             break
+        i = path.pop()  # set the last class taken back to 0 and go on after it
+        load -= steps[i]
+        gained -= gains[i]
+        nodes += 1
+        pos = i + 1
     argmax = [0] * (k - 1)
-    for i, value in best_path:
-        argmax[i] = value
+    for i in best_path:
+        argmax[i] = 1
     return SolveOutcome(Fraction(p * d + best, q * d), "bnb", tuple(argmax), None, nodes)
 
 
@@ -339,6 +326,18 @@ def test_cap_enforced():
         solve_brute(HarmonicParams(20, F(1)))
 
 
+def test_maximizers_hold_at_most_one_item_per_class():
+    # the swap lemma solve_bnb relies on: for mu > 0, two items of class j
+    # lose to one of class ceil((j-1)/2), so the exhaustive search's
+    # maximizer is a 0/1 vector
+    slopes = sorted({F(a, b) for b in range(1, 9) for a in range(1, 3 * b + 1)})
+    for k in range(2, 13):
+        for mu in slopes:
+            if mu > k:
+                continue
+            assert max(solve_brute(HarmonicParams(k, mu)).counts) <= 1, (k, mu)
+
+
 def test_solve_bnb_matches_solve_brute_below_one():
     # opt and the lexicographically smallest argmax on all 1,040 cases
     # k = 2..14, mu = a/b < 1 with b <= 16
@@ -377,10 +376,13 @@ def test_solve_bnb_matches_committed_optima_past_the_brute_cap():
 
 def test_solve_bnb_matches_the_shortcut_free_oracle():
     # past the exhaustive search's reach: k = 15..40 and two large k, below
-    # mu = 1, against a search with none of solve_bnb's shortcuts
+    # mu = 1, against a search with none of solve_bnb's shortcuts; the
+    # slopes next to 1 and 0 are where the cardinality bound is tight
     slopes = sorted({F(a, b) for b in range(1, 6) for a in range(b)})
     cases = [(k, mu) for k in range(15, 41) for mu in slopes]
     cases += [(k, mu) for k in (200, BNB_CAP) for mu in (F(0), F(1, 2), F(5, 12), F(9, 11))]
+    edges = (1 - F(1, 10**60), F(999, 1000), F(1, 10**60))
+    cases += [(k, mu) for k in (40, 200, BNB_CAP) for mu in edges]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + BNB_CAP)  # the oracle is k frames deep
     try:
@@ -423,12 +425,12 @@ def test_solve_bnb_agrees_with_the_other_routes(params):
 
 def test_solve_bnb_prunes():
     # the full tree at k = 14 has 237,931 nodes
-    assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 29
+    assert solve_bnb(HarmonicParams(14, F(1, 2))).nodes_visited == 18
     assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), "bnb", (), None, 0)
 
 
 def test_solve_bnb_recursion_stays_shallow():
-    # only a class holding a positive count adds a frame; distinct classes
+    # only a class holding an item adds a frame; distinct classes
     # j <= BNB_CAP - 1 with sum 1/(j+1) < 1 are at most 632, the largest
     # such set being the classes with the smallest reciprocals, so even the
     # worst case stays below the default recursion limit of 1,000
