@@ -1,8 +1,10 @@
 """The count-vector model (score, cost, compute_m), its two exact searches and their answer record.
 
-The closed form, greedy and MAX_VECTOR_K, the bound on explicit count
-vectors, live in solvers; each search here has its own smaller cap. Every
-route, here and in solvers, returns one SolveOutcome.
+MAX_VECTOR_K bounds k wherever an explicit count vector is built, here in
+solve_bnb and in solvers.greedy_solution, through one check,
+check_vector_k; solve_brute has its own smaller cap. The closed form and
+greedy live in solvers. Every route, here and in solvers, returns one
+SolveOutcome.
 
 A candidate assigns a non-negative count to each size class j in [1, k-1].
 Its cost is sum counts[j-1]/(j+1), and it is feasible when the cost stays
@@ -18,8 +20,9 @@ cardinality bound; it visits 18 nodes at k = 14, mu = 1/2, where the full
 tree has 237,931, so it serves far larger k. It searches only the classes
 1..m with a positive score coefficient, m from compute_m, and derives a
 class's step and gain when it visits the class, so its cost follows the
-nodes visited rather than k. It recurses once per class it takes, at most
-632 classes deep at k = 1,000, and its incumbent is a copy of the counts.
+nodes visited rather than k. It recurses once per class it takes, which
+its docstring proves is at most 45 classes deep for k up to MAX_VECTOR_K,
+and its incumbent is a copy of the counts.
 
 Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
 are scaled by d and scores by q*d, so every comparison is exact without
@@ -36,10 +39,11 @@ from typing import NamedTuple, Optional
 from .harmonic import HarmonicParams
 
 __all__ = [
-    "BNB_CAP",
     "BRUTE_CAP",
     "IpSolution",
+    "MAX_VECTOR_K",
     "SolveOutcome",
+    "check_vector_k",
     "compute_m",
     "score",
     "cost",
@@ -56,15 +60,13 @@ IpSolution = tuple[int, ...]
 # closed form elsewhere, so this search serves only method brute and tests.
 BRUTE_CAP = 14
 
-# Largest k the branch-and-bound search accepts, checked before lcm(1..k) is
-# built. Over the 46 slopes mu = a/b < 1 with b <= 12 it takes at most
-# 0.67 ms (16 nodes; best of 5 runs, and the VM's speed drifts) at
-# k = 1,000 on a 2-vCPU VM under CPython 3.11, against 69 ms (up to 1,600
-# nodes, best of 3) at k = 10,000; no bound on its node count is proved, so
-# the cap stays low. Its recursion depth is bounded by the classes that can
-# hold an item at once: 632 at this cap, below CPython's default limit of
-# 1,000, but 6,321 at k = 10,000, so raising the cap must re-check the depth.
-BNB_CAP = 1_000
+# Largest k for which a count vector (k - 1 entries) is built: greedy's, the
+# witness's and branch-and-bound's. At this k the greedy vector is built,
+# scored and printed, and the all-zero witness with its k filler items
+# packed, in well under a second, and branch-and-bound took at most about
+# 0.3 s on the slopes measured (a 2-vCPU VM, CPython 3.11); ten times larger
+# the witness takes seconds, and far larger k cannot be allocated at all.
+MAX_VECTOR_K = 10_000
 
 
 class SolveOutcome(NamedTuple):
@@ -84,6 +86,12 @@ class SolveOutcome(NamedTuple):
     def argmax(self) -> Optional[IpSolution]:
         """counts under its old name, read only; it stays until perfbench reads counts."""
         return self.counts
+
+
+def check_vector_k(k: int) -> None:
+    """Refuse k above MAX_VECTOR_K, before anything of size k is built."""
+    if k > MAX_VECTOR_K:
+        raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
 
 
 def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
@@ -219,16 +227,40 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
 
     A class's step d/(j+1) and gain q*d/j - p*step are derived when the
     search visits it; the per-class lists are the m counts, the incumbent
-    and the returned counts (the incumbent plus k-1-m zeros). A call of
-    branch recurses once per class it takes and loops on past the classes
-    it skips, so only classes holding an item add a frame: their j have
-    sum 1/(j+1) < 1, so at k = BNB_CAP there are at most 632, below the
-    default recursion limit (the 46 slopes mu = a/b < 1 with b <= 12 need
-    at most 6 frames of branch there). nodes_visited counts the count
-    assignments made: one per class taken and one per class set back to 0.
+    and the returned counts (the incumbent plus k-1-m zeros). nodes_visited
+    counts the count assignments made: one per class taken and one per
+    class set back to 0.
+
+    Depth. A call of branch recurses once per class it takes and loops on
+    past the classes it skips, so branch is one frame deeper than the most
+    items a path holds. Let n = m, let r_t and S_t be the Sylvester terms
+    and their reciprocal sums (solvers.sylvester_rows), and let Q be the
+    last t with r_t <= n (n = 0 takes nothing). In score units, a node with
+    taken set T, load L = sum_T 1/(i+1), free capacity F < 1 - L and first
+    open class j has Dantzig bound mu + sum_T (1/i - mu/(i+1)) +
+    (1 + 1/j - mu)*F = mu + (1 - mu)*(L + F) + sum_T 1/(i(i+1)) + F/j; for
+    mu <= 1 that is below 1 + sum_T 1/(i(i+1)) + (1 - L)/j, which does not
+    depend on mu. Holding r_1..r_{t-1} leaves F = 1/r_t - 1/d, so the first
+    class that fits is r_t (r_t(r_t+1) divides d). Nothing prunes while the
+    incumbent is the zero vector, so the first dive takes r_1..r_Q, and
+    once it returns the incumbent scores at least S_Q + mu/r_{Q+1} >= S_Q.
+    A node that holds r_1..r_{t-1} and skips r_t has L = 1 - 1/r_t and
+    j >= r_t + 1, and 1/(r_s(r_s+1)) = 1/r_{s+1}, so its bound is below
+    1 + (S_t - 1) + 1/r_{t+1} = S_{t+1} <= S_Q for t <= Q - 1: it is pruned
+    before it takes another item (a later j only lowers the bound). For
+    mu > 1, which auto never sends here, the same node is pruned: with
+    rho(j) = 1 + 1/j - mu, the incumbent's gains rho(r)/(r+1) of r = r_t
+    and rho(R)/(R+1) of R = r_{t+1}, less rho(r+1)/r, which the open
+    classes' part of the bound stays below, come to mu/(R(R+1)) >= 0. So a
+    path with more than Q - 2 items starts with r_1..r_{Q-1}, which leave
+    less than 1/r_Q of capacity, and each further item costs at least
+    1/(n+1): a path holds at most Q - 1 + ceil((n+1)/r_Q) - 1 items. For
+    k <= MAX_VECTOR_K that is at most 45, first reached at k = 1,765
+    (n = 1,764, r_Q = 42), so branch is at most 46 frames deep, far below
+    CPython's default recursion limit of 1,000; the runs measured went no
+    deeper than 7 frames of branch.
     """
-    if params.k > BNB_CAP:
-        raise ValueError(f"k exceeds the branch-and-bound cap {BNB_CAP}")
+    check_vector_k(params.k)
     d = math.lcm(*range(1, params.k + 1))
     p, q = params.mu.as_integer_ratio()
     qd = q * d

@@ -7,15 +7,17 @@ sequence index with term <= m; then the optimum equals the reciprocal prefix
 sum through q+1 plus (mu-1)/r_{q+1}. m comes from ip_model.compute_m, which
 branch-and-bound also uses to bound its search.
 greedy_solution puts one item in each of the classes r_1, ..., r_q and
-scores that vector exactly; it alone builds an explicit count vector, so
-MAX_VECTOR_K, the bound on k for such vectors, lives here. With k = 1 (no
-classes) or mu >= 2 (every coefficient 1/j - mu/(j+1) non-positive) m is 0,
-so Q = 0, r_1 = S_1 = 1 and both routes give mu, the score of the all-zero
-vector. Both routes are checked against the exhaustive solver in the tests.
+scores that vector exactly; like branch-and-bound it builds an explicit
+count vector, so it refuses k above ip_model.MAX_VECTOR_K through
+ip_model.check_vector_k. With k = 1 (no classes) or mu >= 2 (every
+coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
+and both routes give mu, the score of the all-zero vector. Both routes are
+checked against the exhaustive solver in the tests.
 
 For k >= 2 and mu < 1 no closed form applies; solve's auto route sends that
 corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
-check against the exhaustive solver and against committed optima past its cap.
+check against the exhaustive solver, against committed optima past that
+solver's cap and against a shortcut-free oracle.
 The auto test and solve_closed_form's guard read mu as its lowest-terms
 integer pair p/q and compare p < q, so no Fraction comparison runs. Every
 route returns ip_model.SolveOutcome, which solve passes on unchanged.
@@ -28,22 +30,15 @@ from itertools import islice
 from typing import Iterator
 
 from .harmonic import HarmonicParams
-from .ip_model import SolveOutcome, compute_m, score, solve_bnb, solve_brute
+from .ip_model import SolveOutcome, check_vector_k, compute_m, score, solve_bnb, solve_brute
 
 __all__ = [
-    "MAX_VECTOR_K",
     "sylvester_rows",
     "closed_form_pieces",
     "solve_closed_form",
     "greedy_solution",
     "solve",
 ]
-
-# Largest k for which a count vector (k - 1 entries) is built. At this k the
-# greedy vector is built, scored and printed, and the all-zero witness with
-# its k filler items packed, in well under a second; ten times larger the
-# latter takes seconds, and far larger k cannot be allocated at all.
-MAX_VECTOR_K = 10_000
 
 
 def sylvester_rows() -> Iterator[tuple[int, Fraction]]:
@@ -97,8 +92,7 @@ def greedy_solution(params: HarmonicParams) -> SolveOutcome:
     it is the zero vector, scoring mu); for mu < 1 it is a heuristic and is
     validated against the exhaustive solver in the tests only.
     """
-    if params.k > MAX_VECTOR_K:
-        raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
+    check_vector_k(params.k)
     counts = [0] * (params.k - 1)
     _, q, _, _ = closed_form_pieces(params)
     for r, _ in islice(sylvester_rows(), q):
@@ -112,8 +106,8 @@ def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
 
     auto prefers the closed form. In the k >= 2, mu < 1 corner the closed
     form does not cover it runs the branch-and-bound search instead, which
-    accepts k up to ip_model.BNB_CAP, and returns method "bnb" with the
-    lexicographically smallest maximizer as counts.
+    accepts k up to ip_model.MAX_VECTOR_K, as greedy does, and returns
+    method "bnb" with the lexicographically smallest maximizer as counts.
     """
     if method == "auto":
         p, q = params.mu.as_integer_ratio()

@@ -85,6 +85,7 @@ def test_eval_domain_error(capsys):
         ["witness", "--k", huge, "--mu", "3"],
         ["ip-opt", "--k", huge, "--mu", "3/2", "--method", "greedy"],
         ["simulate", "--k", huge, "--adversarial", "1"],
+        ["ip-opt", "--k", huge, "--mu", "1/2"],
     ):
         assert run(argv) == 1
         assert "error: k is above 10000," in capsys.readouterr().err
@@ -311,10 +312,10 @@ def test_brute_cap(capsys):
 
 
 def test_bnb_cap(capsys):
-    assert run(["ip-opt", "--k", "1000", "--mu", "1/2"]) == 0
+    assert run(["ip-opt", "--k", "10000", "--mu", "1/2"]) == 0
     assert "method = bnb" in capsys.readouterr().out
-    assert run(["ip-opt", "--k", "1001", "--mu", "1/2"]) == 1
-    assert capsys.readouterr().err == "error: k exceeds the branch-and-bound cap 1000\n"
+    assert run(["ip-opt", "--k", "10001", "--mu", "1/2"]) == 1
+    assert capsys.readouterr().err == "error: k is above 10000, the largest k with an explicit count vector\n"
 
 
 def test_table_matches_reference(capsys):
@@ -659,8 +660,9 @@ def cli_argv(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cli_argv())
 @example(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", str(10**30)])
-@example(["ip-opt", "--k", "1000", "--mu", "1/2"])
-@example(["ip-opt", "--k", "1001", "--mu", "1/2"])
+@example(["ip-opt", "--k", "10000", "--mu", "1/2"])
+@example(["ip-opt", "--k", "10001", "--mu", "1/2"])
+@example(["ip-opt", "--k", "10000", "--mu", "1/1" + "0" * 4299])
 def test_cli_fuzz_exits_cleanly_and_quickly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

@@ -3,15 +3,16 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import BNB_CAP, SolveOutcome, cost, score, solve_bnb, solve_brute
-from harmonic_knapsack.solvers import greedy_solution, solve_closed_form
+from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.solvers import greedy_solution, solve_closed_form, sylvester_rows
+from helpers import WORST_BNB_SLOPES
 from reference_values import BEYOND_BRUTE_CAP
 
 F = Fraction
@@ -360,10 +361,14 @@ def test_solve_bnb_walks_the_reference_tree():
         for mu in sorted({F(a, b) for b in range(1, 13) for a in range(0, b * min(k, 3) + 1)}):
             params = HarmonicParams(k, mu)
             assert solve_bnb(params) == reference_bnb(params), (k, mu)
-    for k in (200, BNB_CAP):
+    for k in (200, 1000):
         for mu in (F(0), F(1, 12), F(1, 2), F(5, 7), F(11, 12), F(1), F(13, 12), F(3, 2)):
             params = HarmonicParams(k, mu)
             assert solve_bnb(params) == reference_bnb(params), (k, mu)
+    # at the largest k, about 0.2 s a case
+    for mu in (F(0), F(1, 2), F(11, 12), 1 - F(1, 10**60)):
+        params = HarmonicParams(MAX_VECTOR_K, mu)
+        assert solve_bnb(params) == reference_bnb(params), mu
 
 
 def test_solve_bnb_matches_committed_optima_past_the_brute_cap():
@@ -380,11 +385,11 @@ def test_solve_bnb_matches_the_shortcut_free_oracle():
     # slopes next to 1 and 0 are where the cardinality bound is tight
     slopes = sorted({F(a, b) for b in range(1, 6) for a in range(b)})
     cases = [(k, mu) for k in range(15, 41) for mu in slopes]
-    cases += [(k, mu) for k in (200, BNB_CAP) for mu in (F(0), F(1, 2), F(5, 12), F(9, 11))]
+    cases += [(k, mu) for k in (200, 1000) for mu in (F(0), F(1, 2), F(5, 12), F(9, 11))]
     edges = (1 - F(1, 10**60), F(999, 1000), F(1, 10**60))
-    cases += [(k, mu) for k in (40, 200, BNB_CAP) for mu in edges]
+    cases += [(k, mu) for k in (40, 200, 1000) for mu in edges]
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + BNB_CAP)  # the oracle is k frames deep
+    sys.setrecursionlimit(limit + max(k for k, _ in cases))  # the oracle is k frames deep
     try:
         for k, mu in cases:
             params = HarmonicParams(k, mu)
@@ -430,31 +435,37 @@ def test_solve_bnb_prunes():
 
 
 def test_solve_bnb_recursion_stays_shallow():
-    # only a class holding an item adds a frame; distinct classes
-    # j <= BNB_CAP - 1 with sum 1/(j+1) < 1 are at most 632, the largest
-    # such set being the classes with the smallest reciprocals, so even the
-    # worst case stays below the default recursion limit of 1,000
-    total, most = F(0), 0
-    for j in range(BNB_CAP - 1, 0, -1):
-        total += F(1, j + 1)
-        if total >= 1:
-            break
-        most += 1
-    assert most == 632
-    frames = 0
-    frame = sys._getframe()
-    while frame is not None:
-        frames += 1
-        frame = frame.f_back
-    assert frames + most + 2 < 1000  # solve_bnb, and branch once more than the classes
-    # the searches actually run use a handful of frames
+    # the bound proved in solve_bnb's docstring: with n = k - 1 classes and
+    # r_Q the last Sylvester term <= n, a path holds at most
+    # Q - 1 + ceil((n+1)/r_Q) - 1 items; over k <= MAX_VECTOR_K the most is
+    # 45, first at k = 1,765
+    terms = list(takewhile(lambda r: r < MAX_VECTOR_K, (r for r, _ in sylvester_rows())))
+
+    def most_items(n):
+        top = sum(r <= n for r in terms)
+        return top - 1 + -(-(n + 1) // terms[top - 1]) - 1
+
+    most = [most_items(k - 1) for k in range(2, MAX_VECTOR_K + 1)]
+    assert max(most) == 45 and most.index(45) + 2 == 1765
+    # k = 1 enters branch once and takes nothing; a path of t items needs t
+    # frames more. The limit that k = 1 needs is found by trial, since 3.10
+    # and 3.11 also count C calls on the stack, which no frame shows
     slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
+    cases = [HarmonicParams(1765, mu) for mu in slopes] + [HarmonicParams(MAX_VECTOR_K, mu) for mu in WORST_BNB_SLOPES]
+    empty = HarmonicParams(1, F(1, 2))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + 20)
+    base = 1
     try:
-        for k in (200, BNB_CAP):
-            for mu in slopes:
-                solve_bnb(HarmonicParams(k, mu))
+        while True:
+            try:
+                sys.setrecursionlimit(base)
+                solve_bnb(empty)
+                break
+            except RecursionError:
+                base += 1
+        sys.setrecursionlimit(base + 45)
+        for params in cases:
+            solve_bnb(params)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -470,8 +481,7 @@ def test_solve_bnb_leaves_no_cyclic_garbage():
 
 
 def test_bnb_cap_enforced():
-    with pytest.raises(ValueError, match="branch-and-bound cap"):
-        solve_bnb(HarmonicParams(BNB_CAP + 1, F(1, 2)))
-    # refused before lcm(1..k) is built
-    with pytest.raises(ValueError, match="branch-and-bound cap"):
-        solve_bnb(HarmonicParams(10**30, F(1, 2)))
+    # the refusal is cheap: lcm(1..k) is never built
+    for k in (MAX_VECTOR_K + 1, 10**30):
+        with pytest.raises(ValueError, match="^k is above 10000, the largest k with an explicit count vector$"):
+            solve_bnb(HarmonicParams(k, F(1, 2)))

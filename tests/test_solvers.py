@@ -5,15 +5,9 @@ from itertools import islice
 import pytest
 
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import BNB_CAP, SolveOutcome, compute_m, cost, score, solve_bnb, solve_brute
-from harmonic_knapsack.solvers import (
-    MAX_VECTOR_K,
-    closed_form_pieces,
-    greedy_solution,
-    solve,
-    solve_closed_form,
-    sylvester_rows,
-)
+from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, compute_m, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.solvers import closed_form_pieces, greedy_solution, solve, solve_closed_form, sylvester_rows
+from helpers import WORST_BNB_SLOPES
 
 F = Fraction
 
@@ -305,16 +299,28 @@ def test_results_expose_their_fields():
         assert solve(params, method) == route(params), (params, method)
 
 
-def test_auto_below_one_up_to_the_cap_within_budget():
-    # 46 slopes mu = a/b < 1 with b <= 12 at the largest k auto accepts below
-    # mu = 1; each takes a few ms on a 2-vCPU VM, so 5 s is a wide budget
+def test_auto_below_one_at_k_1000_within_budget():
+    # 46 slopes mu = a/b < 1 with b <= 12 at k = 1,000; each takes a few ms
+    # on a 2-vCPU VM, so 5 s is a wide budget
     slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
     start = time.perf_counter()
     for mu in slopes:
-        params = HarmonicParams(BNB_CAP, mu)
+        params = HarmonicParams(1000, mu)
         out = solve(params)
         assert out == solve_bnb(params)
         assert cost(out.counts, params) < 1 and score(out.counts, params) == out.opt
     assert time.perf_counter() - start < 5.0
-    with pytest.raises(ValueError, match="branch-and-bound cap"):
-        solve(HarmonicParams(BNB_CAP + 1, F(1, 2)))
+
+
+def test_auto_below_one_at_max_vector_k_within_budget():
+    # auto answers every k up to MAX_VECTOR_K below mu = 1; the worst slope
+    # took about 0.3 s on a 2-vCPU VM
+    for mu in WORST_BNB_SLOPES:
+        params = HarmonicParams(MAX_VECTOR_K, mu)
+        start = time.perf_counter()
+        out = solve(params)
+        assert time.perf_counter() - start < 2.0, mu
+        assert out.method == "bnb" and len(out.counts) == MAX_VECTOR_K - 1
+        assert cost(out.counts, params) < 1 and score(out.counts, params) == out.opt
+    with pytest.raises(ValueError, match="k is above 10000, the largest k with an explicit count vector"):
+        solve(HarmonicParams(MAX_VECTOR_K + 1, F(1, 2)))
