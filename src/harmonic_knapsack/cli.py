@@ -24,6 +24,7 @@ inputs, unreadable files) or a stdout closed early, which prints nothing,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,7 +43,8 @@ __all__ = ["parse_rational_arg", "run", "main"]
 TABLE_DIGITS = 8
 LIMIT_DIGITS = 15
 # CPython refuses to print an int of more than 4300 digits, so no rational
-# read from outside may carry more than that on either side of its slash;
+# read from outside may carry more than that on either side of its slash, nor
+# may a computed result that prints as a fraction (_printable);
 # MAX_COUNT and MAX_K_DIGITS below are set so that what they admit still prints.
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
@@ -78,10 +80,15 @@ def parse_rational(text: str) -> Fraction:
         if match["den"] and not int(match["den"]):
             raise ValueError("zero denominator")
         if abs(int(match["exp"] or 0)) <= MAX_DIGITS + len(text):
-            value = Fraction(text)
-            if abs(value.numerator) < _TOO_LONG and value.denominator < _TOO_LONG:
-                return value
+            return _printable(Fraction(text), "value")
     raise ValueError(f"value has more than {MAX_DIGITS} digits in its numerator or denominator")
+
+
+def _printable(value: Fraction, name: str = "the result") -> Fraction:
+    """value itself, or a ValueError naming it if a side has more digits than CPython prints."""
+    if abs(value.numerator) < _TOO_LONG and value.denominator < _TOO_LONG:
+        return value
+    raise ValueError(f"{name} has more than {MAX_DIGITS} digits in its numerator or denominator")
 
 
 def parse_sizes(text: str) -> tuple[Fraction, ...]:
@@ -189,7 +196,7 @@ def _params(args) -> HarmonicParams:
 
 def _cmd_eval(args, parser) -> None:
     params = _params(args)
-    value = eval_fk(params, args.x)
+    value = _printable(eval_fk(params, args.x))
     decimal = to_decimal(value, args.digits)
     record = {"k": params.k, "mu": params.mu, "x": args.x, "value": value, "decimal": decimal}
     _emit(args, record, ["value", "decimal"], [[value, decimal]], [f"{value} = {decimal}"])
@@ -198,7 +205,7 @@ def _cmd_eval(args, parser) -> None:
 def _cmd_ip_opt(args, parser) -> None:
     params = _params(args)
     outcome = solve(params, method=args.method)
-    decimal = to_decimal(outcome.opt, args.digits)
+    decimal = to_decimal(_printable(outcome.opt), args.digits)
     counts, feasible = outcome.counts, outcome.feasible_count
     m, q, r_next, s_next = closed_form_pieces(params)
     if m == 0:  # k = 1 or mu >= 2: no class is in play, so the pieces are undefined
@@ -286,7 +293,7 @@ def _cmd_limit(args, parser) -> None:
 
 
 def _cmd_witness(args, parser) -> None:
-    print(json.dumps([str(x) for x in build_witness(_params(args), args.eps)]))
+    print(json.dumps([str(_printable(x)) for x in build_witness(_params(args), args.eps)]))
 
 
 def _cmd_simulate(args, parser) -> None:
@@ -350,6 +357,7 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="harmonic-knapsack",

@@ -20,9 +20,9 @@ cardinality bound; it visits 18 nodes at k = 14, mu = 1/2, where the full
 tree has 237,931, so it serves far larger k. It searches only the classes
 1..m with a positive score coefficient, m from compute_m, and derives a
 class's step and gain when it visits the class, so its cost follows the
-nodes visited rather than k. It recurses once per class it takes, which
-its docstring proves is at most 45 classes deep for k up to MAX_VECTOR_K,
-and its incumbent is a copy of the counts.
+nodes visited rather than k. It walks an explicit path of the classes it
+takes, so its stack does not grow with k, and its incumbent is a copy of
+that path.
 
 Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
 are scaled by d and scores by q*d, so every comparison is exact without
@@ -210,13 +210,16 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     Classes are visited in order j = 1, 2, ..., each taken once, then
     skipped, so complete vectors are reached in lexicographically
     decreasing order; a vector that ties the incumbent replaces it, which
-    leaves the lexicographically smallest maximizer. The incumbent is a copy
-    of the m counts, taken at each complete vector that reaches it, and
-    starts as the zero vector. Only the classes 1..m with a positive gain
-    are searched, m from compute_m (gain/step, q*(j+1)/j - p, falls as j
-    grows, so they form a prefix); the rest stay at 0. Classes with no room
-    are skipped in one step: the first class whose step fits in `free` is
-    j = ceil(d/free) - 1, so the class visited always fits.
+    leaves the lexicographically smallest maximizer. The search is one loop
+    over an explicit path: (pos, free, gained) is pushed before a class is
+    taken and popped to set it back to 0 and go on after it. The incumbent
+    is a copy of the path at each complete vector that reaches it, at most
+    one entry per class taken, and starts empty, the zero vector. Only the
+    classes 1..m with a positive gain are searched, m from compute_m
+    (gain/step, q*(j+1)/j - p, falls as j grows, so they form a prefix); the
+    rest stay at 0. Classes with no room are skipped in one step: the first
+    class whose step fits in `free` is j = ceil(d/free) - 1, so the class
+    visited always fits.
 
     Two bounds prune a node at the first open class j when they fall below
     the incumbent. Dantzig's: the open classes add at most the best
@@ -226,39 +229,9 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     gain, since the gains fall with j over classes 1..m.
 
     A class's step d/(j+1) and gain q*d/j - p*step are derived when the
-    search visits it; the per-class lists are the m counts, the incumbent
-    and the returned counts (the incumbent plus k-1-m zeros). nodes_visited
-    counts the count assignments made: one per class taken and one per
-    class set back to 0.
-
-    Depth. A call of branch recurses once per class it takes and loops on
-    past the classes it skips, so branch is one frame deeper than the most
-    items a path holds. Let n = m, let r_t and S_t be the Sylvester terms
-    and their reciprocal sums (solvers.sylvester_rows), and let Q be the
-    last t with r_t <= n (n = 0 takes nothing). In score units, a node with
-    taken set T, load L = sum_T 1/(i+1), free capacity F < 1 - L and first
-    open class j has Dantzig bound mu + sum_T (1/i - mu/(i+1)) +
-    (1 + 1/j - mu)*F = mu + (1 - mu)*(L + F) + sum_T 1/(i(i+1)) + F/j; for
-    mu <= 1 that is below 1 + sum_T 1/(i(i+1)) + (1 - L)/j, which does not
-    depend on mu. Holding r_1..r_{t-1} leaves F = 1/r_t - 1/d, so the first
-    class that fits is r_t (r_t(r_t+1) divides d). Nothing prunes while the
-    incumbent is the zero vector, so the first dive takes r_1..r_Q, and
-    once it returns the incumbent scores at least S_Q + mu/r_{Q+1} >= S_Q.
-    A node that holds r_1..r_{t-1} and skips r_t has L = 1 - 1/r_t and
-    j >= r_t + 1, and 1/(r_s(r_s+1)) = 1/r_{s+1}, so its bound is below
-    1 + (S_t - 1) + 1/r_{t+1} = S_{t+1} <= S_Q for t <= Q - 1: it is pruned
-    before it takes another item (a later j only lowers the bound). For
-    mu > 1, which auto never sends here, the same node is pruned: with
-    rho(j) = 1 + 1/j - mu, the incumbent's gains rho(r)/(r+1) of r = r_t
-    and rho(R)/(R+1) of R = r_{t+1}, less rho(r+1)/r, which the open
-    classes' part of the bound stays below, come to mu/(R(R+1)) >= 0. So a
-    path with more than Q - 2 items starts with r_1..r_{Q-1}, which leave
-    less than 1/r_Q of capacity, and each further item costs at least
-    1/(n+1): a path holds at most Q - 1 + ceil((n+1)/r_Q) - 1 items. For
-    k <= MAX_VECTOR_K that is at most 45, first reached at k = 1,765
-    (n = 1,764, r_Q = 42), so branch is at most 46 frames deep, far below
-    CPython's default recursion limit of 1,000; the runs measured went no
-    deeper than 7 frames of branch.
+    search visits it; the only per-class list is the returned counts, built
+    once at the end. nodes_visited counts the count assignments made: one
+    per class taken and one per class set back to 0.
     """
     check_vector_k(params.k)
     d = math.lcm(*range(1, params.k + 1))
@@ -266,36 +239,35 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     qd = q * d
     least = d // params.k  # the step of class k - 1, the smallest
     n = compute_m(params)
-    counts = [0] * n
-    incumbent = counts[:]  # the zero vector, score 0
+    path: list[tuple[int, int, int]] = []  # (pos, free, gained) before each class taken
+    incumbent = []  # the zero vector, score 0
     best = nodes = 0
-
-    def branch(pos: int, free: int, gained: int) -> None:
-        """Search the classes from position pos on, with scaled capacity free left."""
-        nonlocal best, incumbent, nodes
-        while True:
+    pos, free, gained = 0, d - 1, 0  # a vector fits when its scaled load is at most d - 1
+    while True:
+        while True:  # take classes until a complete vector or a bound stops the dive
             if free:
                 skip = -(-d // free) - 2
                 if skip > pos:
                     pos = skip
             if not free or pos >= n:
                 if gained >= best:
-                    best, incumbent = gained, counts[:]
-                return
+                    best, incumbent = gained, path[:]
+                break
             j = pos + 1
             if gained * j + (q * (j + 1) - p * j) * free < best * j:
-                return
+                break
             step = d // (j + 1)
             gain = qd // j - p * step
             if gained + free // least * gain < best:
-                return
-            counts[pos] = 1
+                break
+            path.append((pos, free, gained))
             nodes += 2  # taken, then set back to 0
-            branch(j, free - step, gained + gain)
-            counts[pos] = 0
-            pos = j
-
-    branch(0, d - 1, 0)  # a vector fits when its scaled load is at most d - 1
-    del branch  # it refers to itself; drop the cycle rather than leave it to gc
-    argmax = tuple(incumbent) + (0,) * (params.k - 1 - n)
-    return SolveOutcome(Fraction(p * d + best, qd), "bnb", argmax, None, nodes)
+            pos, free, gained = j, free - step, gained + gain
+        if not path:
+            break
+        pos, free, gained = path.pop()  # set the last class taken back to 0 and go on after it
+        pos += 1
+    argmax = [0] * (params.k - 1)
+    for taken, _, _ in incumbent:
+        argmax[taken] = 1
+    return SolveOutcome(Fraction(p * d + best, qd), "bnb", tuple(argmax), None, nodes)

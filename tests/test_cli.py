@@ -137,9 +137,10 @@ def test_huge_integers_get_a_short_message(line, capsys):
         assert value.lstrip("-")[:100] not in err
 
 
-# Values within an option's digit bound that the library refuses, and
-# rationals one digit beyond it: the message names the bound, not the value.
-SEVENS, K_SEVENS = "7" * 4300, "7" * 1300
+# Values within an option's digit bound that the library refuses, rationals
+# one digit beyond it, and rationals within it whose result has more digits
+# than CPython prints: the message names the bound, not the value.
+SEVENS, K_SEVENS, TINY = "7" * 4300, "7" * 1300, "1/1" + "0" * 4299
 HUGE_VALUES = {
     "eval --k 3 --mu N --x 1/2": [SEVENS, "7" * 4301, "-" + SEVENS],
     "ip-opt --k 3 --mu N --method closed": ["1/" + SEVENS],
@@ -150,6 +151,9 @@ HUGE_VALUES = {
     "witness --k N --mu 1": [K_SEVENS],
     "ip-opt --k N --mu 1/2": [K_SEVENS],
     "ip-opt --k N --family lee": ["-" + K_SEVENS],
+    "ip-opt --k 14 --mu N": [TINY],
+    "eval --k 2 --mu N --x N": [TINY],
+    "witness --k 100 --family lee --eps N": [TINY],
 }
 
 
@@ -164,6 +168,7 @@ def test_huge_values_get_a_short_message(line, tmp_path, capsys):
         assert code in (1, 2)
         assert 0 < len(err) < 1024
         assert value.lstrip("-")[:100] not in err
+        assert "set_int_max_str_digits" not in err
 
 
 def test_import_leaves_heavy_modules_unloaded():
@@ -256,6 +261,19 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_process_answers_like_fresh_ones(monkeypatch, capsys):
+    # run builds its parser once per process; what one call parses must not
+    # change what the next one prints or returns
+    monkeypatch.setenv("COLUMNS", "80")  # the help's line width, here and in each fresh process
+    answer = ["ip-opt", "--k", "10", "--mu", "80/71", "--explain"]
+    for argv in (["eval", "--k", "4"], ["--help"], answer, answer):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "harmonic_knapsack", *argv], capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 0 and out.startswith("opt = 2525/1491 = ")
 
 
 def test_ip_opt_brute_text(capsys):

@@ -1,17 +1,19 @@
 import gc
 import math
 import sys
+import traceback
 import tracemalloc
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonic_knapsack import ip_model
 from harmonic_knapsack.harmonic import HarmonicParams
 from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, cost, score, solve_bnb, solve_brute
-from harmonic_knapsack.solvers import greedy_solution, solve_closed_form, sylvester_rows
+from harmonic_knapsack.solvers import greedy_solution, solve_closed_form
 from helpers import WORST_BNB_SLOPES
 from reference_values import BEYOND_BRUTE_CAP
 
@@ -434,40 +436,31 @@ def test_solve_bnb_prunes():
     assert solve_bnb(HarmonicParams(1, F(1, 2))) == (F(1, 2), "bnb", (), None, 0)
 
 
-def test_solve_bnb_recursion_stays_shallow():
-    # the bound proved in solve_bnb's docstring: with n = k - 1 classes and
-    # r_Q the last Sylvester term <= n, a path holds at most
-    # Q - 1 + ceil((n+1)/r_Q) - 1 items; over k <= MAX_VECTOR_K the most is
-    # 45, first at k = 1,765
-    terms = list(takewhile(lambda r: r < MAX_VECTOR_K, (r for r, _ in sylvester_rows())))
+def deepest_bnb_stack(cases):
+    """The most ip_model frames on the stack at any Python call while solve_bnb runs the cases."""
+    depths = [0]
 
-    def most_items(n):
-        top = sum(r <= n for r in terms)
-        return top - 1 + -(-(n + 1) // terms[top - 1]) - 1
+    def count_frames(frame, event, arg):
+        if event == "call":
+            depths.append(sum(f.f_code.co_filename == ip_model.__file__ for f, _ in traceback.walk_stack(frame)))
 
-    most = [most_items(k - 1) for k in range(2, MAX_VECTOR_K + 1)]
-    assert max(most) == 45 and most.index(45) + 2 == 1765
-    # k = 1 enters branch once and takes nothing; a path of t items needs t
-    # frames more. The limit that k = 1 needs is found by trial, since 3.10
-    # and 3.11 also count C calls on the stack, which no frame shows
-    slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
-    cases = [HarmonicParams(1765, mu) for mu in slopes] + [HarmonicParams(MAX_VECTOR_K, mu) for mu in WORST_BNB_SLOPES]
-    empty = HarmonicParams(1, F(1, 2))
-    limit = sys.getrecursionlimit()
-    base = 1
+    sys.setprofile(count_frames)
     try:
-        while True:
-            try:
-                sys.setrecursionlimit(base)
-                solve_bnb(empty)
-                break
-            except RecursionError:
-                base += 1
-        sys.setrecursionlimit(base + 45)
         for params in cases:
             solve_bnb(params)
     finally:
-        sys.setrecursionlimit(limit)
+        sys.setprofile(None)
+    return max(depths)
+
+
+def test_solve_bnb_stack_does_not_grow_with_k():
+    # k = 1 takes nothing; the 46 slopes at k = 1,765 and the worst slopes
+    # at MAX_VECTOR_K take long paths. Frame counts, unlike recursion
+    # limits, are the same on every CPython version
+    slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
+    empty = deepest_bnb_stack([HarmonicParams(1, F(1, 2))])
+    assert 0 < empty == deepest_bnb_stack([HarmonicParams(1765, mu) for mu in slopes])
+    assert empty == deepest_bnb_stack([HarmonicParams(MAX_VECTOR_K, mu) for mu in WORST_BNB_SLOPES])
 
 
 def test_solve_bnb_leaves_no_cyclic_garbage():
