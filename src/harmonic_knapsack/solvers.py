@@ -1,10 +1,12 @@
 """The closed-form layer: the Sylvester walk, the closed form, greedy and a dispatcher.
 
 For mu >= 1 the optimum is reached on a prefix of the reciprocal-splitting
-sequence 1, 2, 6, 42, 1806, ..., which sylvester_rows walks: let m be the
-last class whose score coefficient is positive (0 if none is) and q the last
-sequence index with term <= m; then the optimum equals the reciprocal prefix
-sum through q+1 plus (mu-1)/r_{q+1}. m comes from ip_model.compute_m, which
+sequence 1, 2, 6, 42, 1806, ..., which sylvester_walk yields on integers,
+each term with the numerator of its reciprocal prefix sum: let m be the
+last class whose score coefficient is positive (0 if none is) and q the
+last sequence index with term <= m; then the optimum equals the reciprocal
+prefix sum through q+1 plus (mu-1)/r_{q+1}. closed_form_pieces builds that
+sum as its one Fraction. m comes from ip_model.compute_m, which
 branch-and-bound also uses to bound its search.
 greedy_solution puts one item in each of the classes r_1, ..., r_q and
 scores that vector exactly; like branch-and-bound it builds an explicit
@@ -33,6 +35,7 @@ from .harmonic import HarmonicParams
 from .ip_model import SolveOutcome, check_vector_k, compute_m, score, solve_bnb, solve_brute
 
 __all__ = [
+    "sylvester_walk",
     "sylvester_rows",
     "closed_form_pieces",
     "solve_closed_form",
@@ -41,32 +44,45 @@ __all__ = [
 ]
 
 
+def sylvester_walk() -> Iterator[tuple[int, int]]:
+    """Endless walk of (r_t, n_t) for t = 1, 2, ...: each term and the integer
+    numerator of the reciprocal prefix sum S_t = n_t / r_t.
+
+    Each term is the previous one times one more than itself,
+    r_{t+1} = r_t * (r_t + 1), so digit counts roughly double per step, and a
+    term is only built when it is asked for. As r_{t+1} is a multiple of
+    every earlier term, S_{t+1} = S_t + 1/r_{t+1} has the numerator
+    n_{t+1} = n_t * (r_t + 1) + 1 over it (n_t / r_t need not be in lowest
+    terms). This is the one walk of the sequence: the rows, the closed form,
+    greedy and the witness all read it.
+    """
+    r, n = 1, 1
+    while True:
+        yield r, n
+        r, n = r * (r + 1), n * (r + 1) + 1
+
+
 def sylvester_rows() -> Iterator[tuple[int, Fraction]]:
     """Endless walk of (r_j, S_j) for j = 1, 2, ...: each term and the exact
     sum of the reciprocals of the terms up to it.
 
-    Each term is the previous one times one more than itself, so digit counts
-    roughly double per step, and a term is only built when its row is asked
-    for. The sums S_j rise toward a limit just below 1.7, and the sums of
+    The sums S_j rise toward a limit just below 1.7, and the sums of
     1/(r_j + 1) for j <= t telescope to 1 - 1/r_{t+1}; the tests verify both.
     """
-    r, s = 1, Fraction(0)
-    while True:
-        s += Fraction(1, r)
-        yield r, s
-        r = r * (r + 1)
+    return ((r, Fraction(n, r)) for r, n in sylvester_walk())
 
 
 def closed_form_pieces(params: HarmonicParams) -> tuple[int, int, int, Fraction]:
     """(m, Q, r_{Q+1}, S_{Q+1}) for (k, mu); (0, 0, 1, 1) where m = 0.
 
     Below mu = 1 the pieces still exist (m is k-1) even though no closed
-    form is built from them there.
+    form is built from them there. The walk stays on integers, and the one
+    Fraction is S_{Q+1}.
     """
     m = compute_m(params)
-    for q, (term, total) in enumerate(sylvester_rows()):
-        if term > m:
-            return m, q, term, total
+    for q, (r, n) in enumerate(sylvester_walk()):
+        if r > m:
+            return m, q, r, Fraction(n, r)
 
 
 def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
@@ -87,7 +103,7 @@ def greedy_solution(params: HarmonicParams) -> SolveOutcome:
 
     Repeatedly incrementing the cheapest useful class while the cost stays
     below 1 picks exactly these classes, each once (the tests keep that rule
-    as greedy's reference), so the vector is read off the first Q rows of the
+    as greedy's reference), so the vector is read off the first Q terms of the
     walk and then scored exactly. For mu >= 1 the result is optimal (at m = 0
     it is the zero vector, scoring mu); for mu < 1 it is a heuristic and is
     validated against the exhaustive solver in the tests only.
@@ -95,7 +111,7 @@ def greedy_solution(params: HarmonicParams) -> SolveOutcome:
     check_vector_k(params.k)
     counts = [0] * (params.k - 1)
     _, q, _, _ = closed_form_pieces(params)
-    for r, _ in islice(sylvester_rows(), q):
+    for r, _ in islice(sylvester_walk(), q):
         counts[r - 1] = 1
     picked = tuple(counts)
     return SolveOutcome(score(picked, params), "greedy", picked)

@@ -59,12 +59,21 @@ def test_witness_zero_vector_gives_uniform_instance():
 
 
 def witness_grid():
-    """(params, eps) for k = 1..30, 44, 100, mu = a/b in [0, min(k, 3)] with b <= 6."""
+    """(params, eps) for k = 1..30, 44, 100, mu = a/b in [0, min(k, 3)] with b <= 6.
+
+    Besides fixed eps from 1/10^4299 to 5, each (k, mu) with a positive
+    greedy cost s gets the clamp value 1/s - 1 and that value +- 10^-60, as
+    the greedy-vector oracle computes it.
+    """
+    tiny = F(1, 10**60)
     for k in [*range(1, 31), 44, 100]:
         mus = {F(a, b) for b in range(1, 7) for a in range(min(k, 3) * b + 1)}
         for mu in sorted(mus):
-            for eps in [F(1, 1000), F(1, 10), F(1), F(5)]:
-                yield HarmonicParams(k, mu), eps
+            params = HarmonicParams(k, mu)
+            edge = clamped_eps(params, F(5))  # every clamp value is at most 1
+            edges = [edge - tiny, edge, edge + tiny] if edge < 5 else []
+            for eps in [F(1, 10**4299), F(1, 1000), F(1, 10), F(1), F(5), *edges]:
+                yield params, eps
 
 
 def test_witness_items_stay_in_their_classes():
@@ -120,7 +129,7 @@ def test_witness_validation():
             build_witness(params, eps)
     # the greedy vector (1, 0) costs 1/2: eps above 1/cost - 1 = 1 is clamped to 1
     assert build_witness(params, F(3, 2)) == (F(1),)
-    # the count vector is built first, so a huge k is refused before eps is read
+    # k is checked first, so a huge k is refused before eps is read
     with pytest.raises(ValueError, match="k is above 10000"):
         build_witness(HarmonicParams(10_001, F(1)), F(0))
 

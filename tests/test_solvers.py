@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+from harmonic_knapsack.cli import MAX_K_DIGITS
 from harmonic_knapsack.harmonic import HarmonicParams
 from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, compute_m, cost, score, solve_bnb, solve_brute
 from harmonic_knapsack.solvers import closed_form_pieces, greedy_solution, solve, solve_closed_form, sylvester_rows
@@ -113,8 +114,10 @@ def test_closed_form_pieces():
             assert (m, got_q) == (k - 1, q), (j, k)
             assert r_next == TERMS[q] and r_next > m >= TERMS[q - 1]
             assert s_next == sum(F(1, t) for t in TERMS[: q + 1])
-    # astronomically large k against a plain integer walk
-    for k in [10**100, 10**1000]:
+    # k = r_7 and r_7 + 1 (Q steps from 6 to 7), astronomically large k
+    # and the largest k the CLI reads, against a plain integer walk and a
+    # plain Fraction sum
+    for k in [TERMS[6], TERMS[6] + 1, 10**100, 10**1000, 10**MAX_K_DIGITS - 1]:
         m = k - 1
         terms = [1]
         while terms[-1] <= m:
