@@ -7,10 +7,10 @@ tinf_bracket exploits: lower bound S_t, upper bound the closed-form optimum
 at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
 
 build_witness turns the greedy count vector (one item in each class r_j,
-j <= Q, read off the Sylvester walk) into an actual item multiset
-whose total size is exactly 1 and whose profit trails the vector's score by
-less than mu*eps, exhibiting the optimum as a true packing profit. It works
-on integers and builds one Fraction per item.
+j <= Q, as solvers.closed_form_pieces hands them out) into an actual item
+multiset whose total size is exactly 1 and whose profit trails the
+vector's score by less than mu*eps, exhibiting the optimum as a true
+packing profit. It works on integers and builds one Fraction per item.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .harmonic import HarmonicParams
 from .ip_model import check_vector_k
-from .solvers import closed_form_pieces, solve_closed_form, sylvester_rows, sylvester_walk
+from .solvers import closed_form_pieces, solve_closed_form, sylvester_rows
 
 __all__ = [
     "FAMILIES",
@@ -55,10 +55,10 @@ def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     """Item sizes, in a tuple, of total size 1 realizing (almost) the greedy vector's score.
 
     The greedy vector (solvers.greedy_solution's) has one item in each class
-    j = r_1, ..., r_Q, read here off the Sylvester walk with Q from
-    closed_form_pieces. The bundle is one item (1+eps)/(j+1) per such class
-    (none where m = 0), then copies of 1/k while they fit, then the exact
-    remainder, all computed on the integers of eps = a/b and r = r_{Q+1}.
+    j = r_1, ..., r_Q, which closed_form_pieces returns along with r_{Q+1}.
+    The bundle is one item (1+eps)/(j+1) per such class (none where m = 0),
+    then copies of 1/k while they fit, then the exact remainder, all
+    computed on the integers of eps = a/b and r = r_{Q+1}.
     eps must be positive and is lowered to 1/s - 1 where the vector's cost s
     is positive; the profit is score - mu*eps*s exactly. As s telescopes to
     1 - 1/r, that is 1/(r - 1) where Q > 0, and as each greedy class
@@ -70,10 +70,10 @@ def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     a, b = Fraction(eps).as_integer_ratio()
     if a <= 0:
         raise ValueError("eps must be positive")
-    _, q, r, _ = closed_form_pieces(params)
+    _, classes, r, _ = closed_form_pieces(params)
     if a * (r - 1) > b:  # never at Q = 0, where r = 1
         a, b = 1, r - 1
-    head = tuple(Fraction(a + b, b * (j + 1)) for j, _ in islice(sylvester_walk(), q))
+    head = tuple(Fraction(a + b, b * (j + 1)) for j in classes)
     # the remainder 1 - (1 + eps) * s is (b*r - (a+b)*(r-1)) / (b*r)
     fillers, rest = divmod(params.k * (b * r - (a + b) * (r - 1)), b * r)
     tail = (Fraction(rest, b * r * params.k),) if rest else ()

@@ -207,7 +207,8 @@ def _cmd_ip_opt(args, parser) -> None:
     outcome = solve(params, method=args.method)
     decimal = to_decimal(_printable(outcome.opt), args.digits)
     counts, feasible = outcome.counts, outcome.feasible_count
-    m, q, r_next, s_next = closed_form_pieces(params)
+    m, classes, r_next, s_next = closed_form_pieces(params)
+    q = len(classes)
     if m == 0:  # k = 1 or mu >= 2: no class is in play, so the pieces are undefined
         m = q = r_next = s_next = None
     record = {

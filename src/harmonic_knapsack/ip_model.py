@@ -1,4 +1,4 @@
-"""The count-vector model (score, cost, compute_m), its two exact searches and their answer record.
+"""The count-vector model (compute_m), its two exact searches and their answer record.
 
 MAX_VECTOR_K bounds k wherever an explicit count vector is built, here in
 solve_bnb and in solvers.greedy_solution, and for analysis.build_witness's
@@ -26,8 +26,8 @@ that path.
 
 Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
 are scaled by d and scores by q*d, so every comparison is exact without
-per-node Fraction churn. The public score/cost helpers stay
-Fraction-based and are cross-checked against the scaled path in the tests.
+per-node Fraction churn. The tests keep Fraction-based score and cost as
+their exact oracle and check the scaled path against them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "SolveOutcome",
     "check_vector_k",
     "compute_m",
-    "score",
-    "cost",
     "solve_bnb",
     "solve_brute",
 ]
@@ -92,20 +90,6 @@ def check_vector_k(k: int) -> None:
     """Refuse k above MAX_VECTOR_K, before anything of size k is built."""
     if k > MAX_VECTOR_K:
         raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
-
-
-def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
-    """mu plus the per-class gains counts[j-1]*(1/j - mu/(j+1)), exact."""
-    total = params.mu
-    for j, c in enumerate(counts, start=1):
-        if c:
-            total += c * (Fraction(1, j) - params.mu / (j + 1))
-    return total
-
-
-def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
-    """Knapsack load sum counts[j-1]/(j+1), exact."""
-    return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 
 def solve_brute(params: HarmonicParams) -> SolveOutcome:

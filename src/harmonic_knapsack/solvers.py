@@ -5,12 +5,13 @@ sequence 1, 2, 6, 42, 1806, ..., which sylvester_walk yields on integers,
 each term with the numerator of its reciprocal prefix sum: let m be the
 last class whose score coefficient is positive (0 if none is) and q the
 last sequence index with term <= m; then the optimum equals the reciprocal
-prefix sum through q+1 plus (mu-1)/r_{q+1}. closed_form_pieces builds that
-sum as its one Fraction. m comes from ip_model.compute_m, which
+prefix sum through q+1 plus (mu-1)/r_{q+1}. closed_form_pieces walks the
+sequence once, collects the classes r_1, ..., r_q on the way and builds
+that sum as its one Fraction. m comes from ip_model.compute_m, which
 branch-and-bound also uses to bound its search.
-greedy_solution puts one item in each of the classes r_1, ..., r_q and
-scores that vector exactly; like branch-and-bound it builds an explicit
-count vector, so it refuses k above ip_model.MAX_VECTOR_K through
+greedy_solution puts one item in each of those classes and returns the
+same telescoped value; like branch-and-bound it builds an explicit count
+vector, so it refuses k above ip_model.MAX_VECTOR_K through
 ip_model.check_vector_k. With k = 1 (no classes) or mu >= 2 (every
 coefficient 1/j - mu/(j+1) non-positive) m is 0, so Q = 0, r_1 = S_1 = 1
 and both routes give mu, the score of the all-zero vector. Both routes are
@@ -28,11 +29,10 @@ route returns ip_model.SolveOutcome, which solve passes on unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
 from .harmonic import HarmonicParams
-from .ip_model import SolveOutcome, check_vector_k, compute_m, score, solve_bnb, solve_brute
+from .ip_model import SolveOutcome, check_vector_k, compute_m, solve_bnb, solve_brute
 
 __all__ = [
     "sylvester_walk",
@@ -53,8 +53,9 @@ def sylvester_walk() -> Iterator[tuple[int, int]]:
     term is only built when it is asked for. As r_{t+1} is a multiple of
     every earlier term, S_{t+1} = S_t + 1/r_{t+1} has the numerator
     n_{t+1} = n_t * (r_t + 1) + 1 over it (n_t / r_t need not be in lowest
-    terms). This is the one walk of the sequence: the rows, the closed form,
-    greedy and the witness all read it.
+    terms). This is the one walk of the sequence: the rows and
+    closed_form_pieces read it, and greedy and the witness take their
+    classes from closed_form_pieces.
     """
     r, n = 1, 1
     while True:
@@ -72,17 +73,21 @@ def sylvester_rows() -> Iterator[tuple[int, Fraction]]:
     return ((r, Fraction(n, r)) for r, n in sylvester_walk())
 
 
-def closed_form_pieces(params: HarmonicParams) -> tuple[int, int, int, Fraction]:
-    """(m, Q, r_{Q+1}, S_{Q+1}) for (k, mu); (0, 0, 1, 1) where m = 0.
+def closed_form_pieces(params: HarmonicParams) -> tuple[int, tuple[int, ...], int, Fraction]:
+    """(m, classes, r_{Q+1}, S_{Q+1}) for (k, mu); (0, (), 1, 1) where m = 0.
 
+    classes is (r_1, ..., r_Q), the sequence terms <= m, so Q = len(classes):
+    the greedy classes, collected on the one walk that also reaches r_{Q+1}.
     Below mu = 1 the pieces still exist (m is k-1) even though no closed
     form is built from them there. The walk stays on integers, and the one
     Fraction is S_{Q+1}.
     """
     m = compute_m(params)
-    for q, (r, n) in enumerate(sylvester_walk()):
+    classes = []
+    for r, n in sylvester_walk():
         if r > m:
-            return m, q, r, Fraction(n, r)
+            return m, tuple(classes), r, Fraction(n, r)
+        classes.append(r)
 
 
 def solve_closed_form(params: HarmonicParams) -> SolveOutcome:
@@ -103,18 +108,20 @@ def greedy_solution(params: HarmonicParams) -> SolveOutcome:
 
     Repeatedly incrementing the cheapest useful class while the cost stays
     below 1 picks exactly these classes, each once (the tests keep that rule
-    as greedy's reference), so the vector is read off the first Q terms of the
-    walk and then scored exactly. For mu >= 1 the result is optimal (at m = 0
-    it is the zero vector, scoring mu); for mu < 1 it is a heuristic and is
-    validated against the exhaustive solver in the tests only.
+    as greedy's reference), so the vector is read off closed_form_pieces'
+    classes. Its cost telescopes to 1 - 1/r_{Q+1}, so its score is the
+    closed form's S_{Q+1} + (mu-1)/r_{Q+1} for every mu; the tests check
+    that value against the vector's exact score. For mu >= 1 the result is
+    optimal (at m = 0 it is the zero vector, scoring mu); for mu < 1 it is a
+    heuristic and is validated against the exhaustive solver in the tests
+    only.
     """
     check_vector_k(params.k)
     counts = [0] * (params.k - 1)
-    _, q, _, _ = closed_form_pieces(params)
-    for r, _ in islice(sylvester_walk(), q):
+    _, classes, r_next, s_next = closed_form_pieces(params)
+    for r in classes:
         counts[r - 1] = 1
-    picked = tuple(counts)
-    return SolveOutcome(score(picked, params), "greedy", picked)
+    return SolveOutcome(s_next + (params.mu - 1) / r_next, "greedy", tuple(counts))
 
 
 def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:

@@ -2,13 +2,27 @@
 
 from fractions import Fraction
 
-from harmonic_knapsack.harmonic import eval_fk
-from harmonic_knapsack.ip_model import cost
+from harmonic_knapsack.harmonic import HarmonicParams, eval_fk
+from harmonic_knapsack.ip_model import IpSolution
 from harmonic_knapsack.solvers import greedy_solution
 
 # The slopes below 1 on which branch-and-bound ran slowest at k = MAX_VECTOR_K:
 # a 4,300-digit denominator next to 0, 1/3, and a 61-digit slope next to 1.
 WORST_BNB_SLOPES = (Fraction(1, 10**4299), Fraction(1, 3), 1 - Fraction(1, 10**60))
+
+
+def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
+    """mu plus the per-class gains counts[j-1]*(1/j - mu/(j+1)), exact."""
+    total = params.mu
+    for j, c in enumerate(counts, start=1):
+        if c:
+            total += c * (Fraction(1, j) - params.mu / (j + 1))
+    return total
+
+
+def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
+    """Knapsack load sum counts[j-1]/(j+1), exact."""
+    return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 
 
 def profit(params, items) -> Fraction:

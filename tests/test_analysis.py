@@ -11,9 +11,9 @@ from harmonic_knapsack.analysis import (
 )
 from harmonic_knapsack.exactnum import to_decimal
 from harmonic_knapsack.harmonic import HarmonicParams, classify
-from harmonic_knapsack.ip_model import cost, score, solve_brute
+from harmonic_knapsack.ip_model import solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve, sylvester_rows
-from helpers import clamped_eps, profit
+from helpers import clamped_eps, cost, profit, score
 from reference_values import LIMIT_15, TABLE_OPT
 
 F = Fraction

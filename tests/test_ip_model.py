@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from harmonic_knapsack import ip_model
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, solve_bnb, solve_brute
 from harmonic_knapsack.solvers import greedy_solution, solve_closed_form
-from helpers import WORST_BNB_SLOPES
+from helpers import WORST_BNB_SLOPES, cost, score
 from reference_values import BEYOND_BRUTE_CAP
 
 F = Fraction

@@ -6,9 +6,9 @@ import pytest
 
 from harmonic_knapsack.cli import MAX_K_DIGITS
 from harmonic_knapsack.harmonic import HarmonicParams
-from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, compute_m, cost, score, solve_bnb, solve_brute
+from harmonic_knapsack.ip_model import MAX_VECTOR_K, SolveOutcome, compute_m, solve_bnb, solve_brute
 from harmonic_knapsack.solvers import closed_form_pieces, greedy_solution, solve, solve_closed_form, sylvester_rows
-from helpers import WORST_BNB_SLOPES
+from helpers import WORST_BNB_SLOPES, cost, score
 
 F = Fraction
 
@@ -68,16 +68,16 @@ def test_coefficient_characterization():
 
 def test_closed_form_examples():
     params = HarmonicParams(7, F(7, 6))
-    assert closed_form_pieces(params)[1] == 2
+    assert closed_form_pieces(params)[1] == (1, 2)
     assert solve_closed_form(params).opt == F(61, 36)
     params = HarmonicParams(10, F(80, 71))
-    assert closed_form_pieces(params)[:2] == (7, 3)
+    assert closed_form_pieces(params)[:2] == (7, (1, 2, 6))
     assert solve_closed_form(params).opt == F(2525, 1491)
     # mu >= 2 and k = 1 have m = 0, so S_1 + (mu - 1)/r_1 is mu itself
     params = HarmonicParams(3, F(3))
-    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, 0, 1, 1), F(3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, (), 1, 1), F(3))
     params = HarmonicParams(1, F(2, 3))
-    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, 0, 1, 1), F(2, 3))
+    assert (closed_form_pieces(params), solve_closed_form(params).opt) == ((0, (), 1, 1), F(2, 3))
 
 
 def test_closed_form_rejects_small_mu():
@@ -95,35 +95,35 @@ def test_closed_form_pieces_are_consistent():
 
 def test_closed_form_pieces():
     # mu < 1 still has pieces (m = k-1), printed by ip-opt --explain
-    assert closed_form_pieces(HarmonicParams(5, F(1, 2))) == (4, 2, 6, F(5, 3))
-    assert closed_form_pieces(HarmonicParams(10, F(80, 71))) == (7, 3, 42, F(71, 42))
-    assert closed_form_pieces(HarmonicParams(1, F(1))) == (0, 0, 1, 1)
-    assert closed_form_pieces(HarmonicParams(4, F(2))) == (0, 0, 1, 1)
+    assert closed_form_pieces(HarmonicParams(5, F(1, 2))) == (4, (1, 2), 6, F(5, 3))
+    assert closed_form_pieces(HarmonicParams(10, F(80, 71))) == (7, (1, 2, 6), 42, F(71, 42))
+    assert closed_form_pieces(HarmonicParams(1, F(1))) == (0, (), 1, 1)
+    assert closed_form_pieces(HarmonicParams(4, F(2))) == (0, (), 1, 1)
     for k in range(2, 12):
         for mu in [F(1), F(11, 10), F(4, 3), F(7, 4)]:
             params = HarmonicParams(k, mu)
             _, _, r_next, s_next = closed_form_pieces(params)
             assert solve_closed_form(params).opt == s_next + (mu - 1) / r_next
-    # with mu = 1/2, m = k - 1: Q steps up exactly when m reaches a term
-    # (j = 1 would give k = 1, 2, 3, which j = 2 already covers)
+    # with mu = 1/2, m = k - 1: the classes gain a term exactly when m
+    # reaches it (j = 1 would give k = 1, 2, 3, which j = 2 already covers)
     half = F(1, 2)
     for j in range(2, 7):
         r = TERMS[j - 1]
         for k, q in [(r, j - 1), (r + 1, j), (r + 2, j)]:
-            m, got_q, r_next, s_next = closed_form_pieces(HarmonicParams(k, half))
-            assert (m, got_q) == (k - 1, q), (j, k)
+            m, classes, r_next, s_next = closed_form_pieces(HarmonicParams(k, half))
+            assert (m, classes) == (k - 1, tuple(TERMS[:q])), (j, k)
             assert r_next == TERMS[q] and r_next > m >= TERMS[q - 1]
             assert s_next == sum(F(1, t) for t in TERMS[: q + 1])
     # k = r_7 and r_7 + 1 (Q steps from 6 to 7), astronomically large k
-    # and the largest k the CLI reads, against a plain integer walk and a
-    # plain Fraction sum
+    # and the largest k the CLI reads, against a plain integer walk (its
+    # terms <= m are the classes) and a plain Fraction sum
     for k in [TERMS[6], TERMS[6] + 1, 10**100, 10**1000, 10**MAX_K_DIGITS - 1]:
         m = k - 1
         terms = [1]
         while terms[-1] <= m:
             terms.append(terms[-1] * (terms[-1] + 1))
         pieces = closed_form_pieces(HarmonicParams(k, half))
-        assert pieces == (m, len(terms) - 1, terms[-1], sum(F(1, t) for t in terms))
+        assert pieces == (m, tuple(terms[:-1]), terms[-1], sum(F(1, t) for t in terms))
 
 
 def test_greedy_examples():
@@ -166,8 +166,9 @@ def cheapest_class_greedy(params):
 
 
 def test_greedy_picks_sequence_prefix():
-    # greedy reads the sequence terms <= m off the walk; the cheapest-class
-    # loop finds its vector independently, below mu = 1 too
+    # greedy reads its classes, the sequence terms <= m, off
+    # closed_form_pieces; the cheapest-class loop finds its vector
+    # independently, below mu = 1 too
     slopes = sorted({F(a, b) for b in range(1, 7) for a in range(0, 5 * b // 2 + 1)})
     for k in [*range(1, 60), 200, 1000, MAX_VECTOR_K]:
         for mu in slopes:
@@ -179,6 +180,8 @@ def test_greedy_picks_sequence_prefix():
             _, _, r_next, s_next = closed_form_pieces(params)
             assert cost(out.counts, params) == 1 - F(1, r_next), (k, mu)
             assert out.opt == s_next + (mu - 1) / r_next, (k, mu)
+            # greedy returns the telescoped value; the vector's exact score checks it
+            assert score(out.counts, params) == out.opt, (k, mu)
 
 
 def test_prefix_costs_telescope():
@@ -215,8 +218,8 @@ def test_three_routes_agree_on_sample_grid():
             params = HarmonicParams(k, mu)
             brute = solve_brute(params).opt
             closed = solve_closed_form(params).opt
-            greedy = greedy_solution(params).opt
-            assert brute == closed == greedy, (k, mu)
+            out = greedy_solution(params)
+            assert brute == closed == out.opt == score(out.counts, params), (k, mu)
     # m = 0: k = 1 has no classes, mu >= 2 no positive coefficient
     edge = [(1, mu) for mu in (F(0), F(1, 2), F(1))]
     edge += [(k, mu) for k in range(2, 9) for mu in (F(2), F(5, 2), F(3)) if mu <= k]
@@ -224,8 +227,8 @@ def test_three_routes_agree_on_sample_grid():
         params = HarmonicParams(k, mu)
         brute = solve_brute(params).opt
         closed = solve_closed_form(params).opt
-        greedy = greedy_solution(params).opt
-        assert brute == closed == greedy == mu, (k, mu)
+        out = greedy_solution(params)
+        assert brute == closed == out.opt == score(out.counts, params) == mu, (k, mu)
 
 
 def test_greedy_below_one_is_heuristic():
