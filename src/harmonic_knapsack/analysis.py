@@ -3,8 +3,10 @@
 The three named slope families pin mu to k. Along any of them the optima
 form a non-increasing sequence in k, and under the lee family the optima and
 the reciprocal prefix sums squeeze the same limit from both sides, which
-tinf_bracket exploits: lower bound S_t, upper bound the closed-form optimum
-at k = r_{t-1} + 2. The bracket width collapses doubly exponentially in t.
+tinf_bracket exploits: lower bound S_t, upper bound the lee-family optimum
+at k = r_{t-1} + 2, read off the Sylvester walk in its telescoped form
+S_t + 1/(r_t * (r_{t-1} + 1)). The bracket width collapses doubly
+exponentially in t.
 
 build_witness turns the greedy count vector (one item in each class r_j,
 j <= Q, as solvers.closed_form_pieces hands them out) into an actual item
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from .harmonic import HarmonicParams
 from .ip_model import check_vector_k
-from .solvers import closed_form_pieces, solve_closed_form, sylvester_rows
+from .solvers import closed_form_pieces, sylvester_rows
 
 __all__ = [
     "FAMILIES",
@@ -95,18 +97,12 @@ class LimitBracket(NamedTuple):
 def tinf_bracket(t: int) -> LimitBracket:
     """Bracket the limit between S_t and the lee-family optimum at k = r_{t-1} + 2.
 
-    The upper bound goes through solve_closed_form rather than the telescoped
-    expression S_t + 1/(r_t * (r_{t-1} + 1)); the two are asserted equal, so
-    the shortcut identity is re-proved on every call.
+    That optimum telescopes to S_t + 1/(r_t * (r_{t-1} + 1)), so both ends
+    come from two rows of sylvester_rows. tests/test_analysis.py's
+    test_bracket_width_formula checks the upper end against
+    solve_closed_form at that k for every t accepted here.
     """
     if not 2 <= t <= 12:
         raise ValueError("t must be in [2, 12]")
     (r_prev, _), (r_t, lower) = islice(sylvester_rows(), t - 2, t)
-    k = r_prev + 2
-    upper = solve_closed_form(HarmonicParams(k, mu_for("lee", k))).opt
-    telescoped = lower + Fraction(1, r_t * (r_prev + 1))
-    if upper != telescoped:
-        raise AssertionError(
-            f"closed form {upper} disagrees with telescoped bound {telescoped} at t={t}"
-        )
-    return LimitBracket(t, lower, upper)
+    return LimitBracket(t, lower, lower + Fraction(1, r_t * (r_prev + 1)))

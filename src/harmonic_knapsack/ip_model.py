@@ -62,7 +62,7 @@ BRUTE_CAP = 14
 # witness's and branch-and-bound's. At this k the greedy vector is built,
 # scored and printed, and the all-zero witness with its k filler items
 # packed, in well under a second, and branch-and-bound took at most about
-# 0.3 s on the slopes measured (a 2-vCPU VM, CPython 3.11); ten times larger
+# 0.4 s on the slopes measured (a 2-vCPU VM, CPython 3.11); ten times larger
 # the witness takes seconds, and far larger k cannot be allocated at all.
 MAX_VECTOR_K = 10_000
 
@@ -186,10 +186,12 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     costs no more than the two, 1/(i+1) <= 2/(j+1), and scores strictly
     more (1/i > 2/j for odd j; for even j, 1/i = 2/j and mu/(i+1) <
     2*mu/(j+1)). At mu = 0 the even-j swap only ties, so a 0/1 maximizer
-    exists and opt is exact, but that the lexicographically smallest
-    maximizer is 0/1 is not proved: it rests on the tests' grid checks
-    against solve_brute (k <= 14) and a shortcut-free oracle (k = 15..40,
-    200 and 1,000), both with mu = 0.
+    exists and opt is exact. Up to k = 14 the tests count the maximizers
+    over the full tree at mu = 0 and find one at each k, so the question of
+    which maximizer is lexicographically smallest cannot arise there.
+    Beyond k = 14, that the lexicographically smallest maximizer is 0/1 is
+    not proved: it rests on the tests' grid check against a shortcut-free
+    oracle (k = 15..40, 200 and 1,000) with mu = 0.
 
     Classes are visited in order j = 1, 2, ..., each taken once, then
     skipped, so complete vectors are reached in lexicographically

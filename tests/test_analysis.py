@@ -12,7 +12,7 @@ from harmonic_knapsack.analysis import (
 from harmonic_knapsack.exactnum import to_decimal
 from harmonic_knapsack.harmonic import HarmonicParams, classify
 from harmonic_knapsack.ip_model import solve_brute
-from harmonic_knapsack.solvers import greedy_solution, solve, sylvester_rows
+from harmonic_knapsack.solvers import greedy_solution, solve, solve_closed_form, sylvester_rows
 from helpers import clamped_eps, cost, profit, score
 from reference_values import LIMIT_15, TABLE_OPT
 
@@ -179,6 +179,8 @@ def test_bracket_examples():
 
 
 def test_bracket_width_formula():
+    # the telescoped upper end is the lee-family closed-form optimum at
+    # k = r_{t-1} + 2, for every t that tinf_bracket accepts
     rows = list(islice(sylvester_rows(), 12))
     for t in range(2, 13):
         (r_prev, _), (r_t, s_t) = rows[t - 2], rows[t - 1]
@@ -186,6 +188,8 @@ def test_bracket_width_formula():
         assert br.lower == s_t
         assert br.width == F(1, r_t * (r_prev + 1))
         assert br.lower <= br.upper
+        k = r_prev + 2
+        assert br.upper == solve_closed_form(HarmonicParams(k, mu_for("lee", k))).opt, t
 
 
 def test_bracket_range_check():

@@ -341,6 +341,49 @@ def test_maximizers_hold_at_most_one_item_per_class():
             assert max(solve_brute(HarmonicParams(k, mu)).counts) <= 1, (k, mu)
 
 
+def maximizers_at_mu_zero(k):
+    """(opt, number of count vectors reaching it) at mu = 0, over the full tree.
+
+    Every feasible vector is counted: each (position, load) state keeps its
+    best suffix gain and the number of suffixes reaching it, and a state
+    that several prefixes reach adds its count once per prefix.
+    """
+    d = math.lcm(*range(1, k + 1))
+    states = {}
+
+    def suffix(pos, load):
+        if pos == k - 1:
+            return 0, 1
+        if (pos, load) not in states:
+            j = pos + 1
+            best, ways = -1, 0
+            for value in range(j + 1):
+                new_load = load + value * (d // (j + 1))
+                if new_load >= d:
+                    break
+                gained, n = suffix(pos + 1, new_load)
+                gained += value * (d // j)
+                if gained > best:
+                    best, ways = gained, n
+                elif gained == best:
+                    ways += n
+            states[pos, load] = best, ways
+        return states[pos, load]
+
+    best, ways = suffix(0, 0)
+    return Fraction(best, d), ways
+
+
+def test_maximizer_at_mu_zero_is_unique_up_to_the_brute_cap():
+    # so solve_bnb's 0/1 maximizer at mu = 0 is the only one, and the
+    # lexicographically smallest trivially
+    for k in range(2, ip_model.BRUTE_CAP + 1):
+        params = HarmonicParams(k, F(0))
+        brute = solve_brute(params)
+        assert maximizers_at_mu_zero(k) == (brute.opt, 1), k
+        assert max(brute.counts) == 1 and solve_bnb(params).counts == brute.counts, k
+
+
 def test_solve_bnb_matches_solve_brute_below_one():
     # opt and the lexicographically smallest argmax on all 1,040 cases
     # k = 2..14, mu = a/b < 1 with b <= 16
