@@ -16,6 +16,10 @@ space-separated counts or "--", none of which holds a comma, a quote or a
 line break, so a plain comma join is the CSV that csv.writer would write.
 witness and simulate print JSON only.
 
+Start-up is most of a call, so a call builds only the subparser its first
+word names (all seven for --help, an unknown word or none), and json is
+imported only to read --items or to print JSON.
+
 Exit codes: 0 success, 1 domain error (bad parameter ranges, infeasible
 inputs, unreadable files) or a stdout closed early, which prints nothing,
 2 usage error (unknown flags, malformed values).
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -93,6 +96,8 @@ def _printable(value: Fraction, name: str = "the result") -> Fraction:
 
 def parse_sizes(text: str) -> tuple[Fraction, ...]:
     """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
+    import json  # only --items and JSON output need it; kept off the start-up path
+
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError):  # not JSON, an int past CPython's limit, or nested too deep
@@ -141,6 +146,8 @@ def _frac_json(value) -> dict:
 
 
 def _dump_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True, indent=2, default=_frac_json))
 
 
@@ -294,6 +301,8 @@ def _cmd_limit(args, parser) -> None:
 
 
 def _cmd_witness(args, parser) -> None:
+    import json
+
     print(json.dumps([str(_printable(x)) for x in build_witness(_params(args), args.eps)]))
 
 
@@ -358,59 +367,83 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="harmonic-knapsack",
-        description="Exact max-knapsack-profit of the size-classed harmonic "
-        "payoff function, plus an online bin-packing simulator.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("eval", help="evaluate the payoff function at one size")
+def _eval_options(p) -> None:
     _add_params(p)
     p.add_argument("--x", type=parse_rational_arg, required=True)
     _add_format(p, TABLE_DIGITS)
-    p.set_defaults(handler=_cmd_eval)
 
-    p = subs.add_parser("ip-opt", help="optimal knapsack profit for (k, mu)")
+
+def _ip_opt_options(p) -> None:
     _add_params(p)
     p.add_argument("--method", choices=["auto", "brute", "closed", "greedy"], default="auto")
     p.add_argument("--explain", action="store_true", help="show m, Q and the prefix-sum pieces")
     _add_format(p, TABLE_DIGITS)
-    p.set_defaults(handler=_cmd_ip_opt)
 
-    p = subs.add_parser("table", help="optimum per k under a slope family")
+
+def _table_options(p) -> None:
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--k-min", type=_int_arg(1, digits=MAX_K_DIGITS), required=True)
     p.add_argument("--k-max", type=_int_arg(digits=MAX_K_DIGITS), required=True)
     _add_format(p, TABLE_DIGITS)
-    p.set_defaults(handler=_cmd_table)
 
-    p = subs.add_parser("sylvester", help="sequence terms and reciprocal prefix sums")
+
+def _sylvester_options(p) -> None:
     p.add_argument("--count", type=_int_arg(1, MAX_COUNT), required=True)
     _add_format(p, LIMIT_DIGITS)
-    p.set_defaults(handler=_cmd_sylvester)
 
-    p = subs.add_parser("limit", help="two-sided bracket on the limiting optimum")
+
+def _limit_options(p) -> None:
     p.add_argument("--terms", type=_int_arg(), required=True)
     _add_format(p, LIMIT_DIGITS)
-    p.set_defaults(handler=_cmd_limit)
 
-    p = subs.add_parser("witness", help="near-optimal instance as JSON sizes")
+
+def _witness_options(p) -> None:
     _add_params(p)
     _add_eps(p)
-    p.set_defaults(handler=_cmd_witness)
 
-    p = subs.add_parser("simulate", help="run the online packer, result as JSON")
+
+def _simulate_options(p) -> None:
     _add_params(p, required=False)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--items", help="path to a JSON array of \"p/q\" sizes")
     source.add_argument("--adversarial", type=_int_arg(), metavar="N", help="number of witness bundles")
     _add_eps(p)
     p.add_argument("--shuffle", type=_int_arg(), metavar="SEED", help="shuffle arrival order")
-    p.set_defaults(handler=_cmd_simulate)
 
+
+# name: (help, options, handler), in the order the help lists them
+_SUBCOMMANDS = {
+    "eval": ("evaluate the payoff function at one size", _eval_options, _cmd_eval),
+    "ip-opt": ("optimal knapsack profit for (k, mu)", _ip_opt_options, _cmd_ip_opt),
+    "table": ("optimum per k under a slope family", _table_options, _cmd_table),
+    "sylvester": ("sequence terms and reciprocal prefix sums", _sylvester_options, _cmd_sylvester),
+    "limit": ("two-sided bracket on the limiting optimum", _limit_options, _cmd_limit),
+    "witness": ("near-optimal instance as JSON sizes", _witness_options, _cmd_witness),
+    "simulate": ("run the online packer, result as JSON", _simulate_options, _cmd_simulate),
+}
+
+
+@functools.cache  # built once per process and command; parse_args leaves it unchanged
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only command's subparser, or with all seven when command is None.
+
+    A usage error's usage line lists all seven either way: a one-command
+    parser gets the list as its metavar. The full parser gets none, since
+    argparse would then name a missing or unknown command by the list in
+    place of "command".
+    """
+    parser = _Parser(
+        prog="harmonic-knapsack",
+        description="Exact max-knapsack-profit of the size-classed harmonic "
+        "payoff function, plus an online bin-packing simulator.",
+    )
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_options, handler) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            add_options(sub)
+            sub.set_defaults(handler=handler)
     return parser
 
 
@@ -419,8 +452,9 @@ def run(argv=None) -> int:
         read_end, write_end = os.pipe()
         os.close(read_end)
         sys.stdout = open(write_end, "w", closefd=False)
-    parser = build_parser()
     argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
+    # --help, an unknown word or no word at all gets every subcommand
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         try:
             args = parser.parse_args(argv)

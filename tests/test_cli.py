@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonic_knapsack import cli
 from harmonic_knapsack.cli import parse_rational_arg, parse_sizes, run
 from reference_values import LIMIT_15, SEQUENCE_FIRST_SEVEN, TABLE_DECIMALS, TABLE_OPT
 
@@ -174,10 +175,10 @@ def test_huge_values_get_a_short_message(line, tmp_path, capsys):
 def test_import_leaves_heavy_modules_unloaded():
     # start-up is most of a typical call; dataclasses alone pulls in inspect,
     # ast, dis and tokenize. The modules new to sys.modules are compared, so
-    # whatever the interpreter loaded before the import does not count. Only
-    # cli reads outside text, so the library root loads no json either.
-    heavy = {"dataclasses", "inspect", "ast", "dis", "csv"}
-    for module, unloaded in (("harmonic_knapsack.cli", heavy), ("harmonic_knapsack", heavy | {"json"})):
+    # whatever the interpreter loaded before the import does not count. cli
+    # imports json only where it reads --items or prints JSON.
+    heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "json"}
+    for module in ("harmonic_knapsack.cli", "harmonic_knapsack"):
         code = (
             f"import sys; before = set(sys.modules); import {module}; "
             "print(*sorted(set(sys.modules) - before))"
@@ -185,7 +186,30 @@ def test_import_leaves_heavy_modules_unloaded():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         loaded = set(proc.stdout.split())
         assert module in loaded
-        assert not loaded & unloaded, module
+        assert not loaded & heavy, module
+
+
+def test_text_commands_leave_json_unloaded():
+    # a fresh process that prints text, a usage error and the help never
+    # imports json; the JSON command after them does, so the check can fail
+    text = [
+        ["eval", "--k", "4", "--mu", "4/3", "--x", "2/7"],
+        ["ip-opt", "--k", "10", "--mu", "80/71", "--explain", "--format", "csv"],
+        ["table", "--family", "lee", "--k-min", "2", "--k-max", "5"],
+        ["sylvester", "--count", "3"],
+        ["limit", "--terms", "4"],
+        ["witness", "--k", "4"],  # a usage error: no --mu or --family
+        ["--help"],
+    ]
+    code = (
+        "import sys; before = set(sys.modules); from harmonic_knapsack.cli import run\n"
+        f"for argv in {text!r}: run(argv)\n"
+        "print('json' in set(sys.modules) - before, file=sys.stderr)\n"
+        "run(['sylvester', '--count', '3', '--format', 'json'])\n"
+        "print('json' in set(sys.modules) - before, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-2:] == ["False", "True"], proc.stderr
 
 
 def test_usage_errors(capsys):
@@ -263,12 +287,67 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+# One valid call per subcommand, the word after the subcommand an option
+# and the next its value; test_help_and_usage_match_the_full_parser derives
+# its cases from these.
+VALID = {
+    "eval": ["eval", "--k", "4", "--mu", "4/3", "--x", "2/7"],
+    "ip-opt": ["ip-opt", "--k", "4", "--mu", "4/3"],
+    "table": ["table", "--family", "lee", "--k-min", "2", "--k-max", "4"],
+    "sylvester": ["sylvester", "--count", "3"],
+    "limit": ["limit", "--terms", "4"],
+    "witness": ["witness", "--k", "4", "--mu", "4/3"],
+    "simulate": ["simulate", "--k", "3", "--mu", "3/2", "--adversarial", "1"],
+}
+USAGE_CASES = [
+    case
+    for name, valid in VALID.items()
+    for case in (
+        [name, "--help"],
+        [name],  # every subcommand has a required option
+        [*valid[:2], "x", *valid[3:]],  # a bad value
+        [*valid, "--no-such-option"],
+        [*valid, "extra"],
+        *([[*valid, "--family", "lee"]] if "--mu" in valid else []),  # a --mu/--family conflict
+    )
+] + [
+    ["table", "--family", "lee", "--k-min", "4", "--k-max", "3"],
+    ["table", "--family", "lee", "--k-min", "1", "--k-max", "1001"],
+    [], ["--help"], ["no-such-command"],
+]
+
+
+def test_help_and_usage_match_the_full_parser(monkeypatch, capsys):
+    # run builds only the subparser its first word names; the help and
+    # every usage error must read as if all seven were built
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    for argv in USAGE_CASES:
+        code = run(argv)
+        built.append((code, *capsys.readouterr()))
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    for argv, (code, out, err) in zip(USAGE_CASES, built):
+        assert run(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+        assert code == (0 if "--help" in argv else 2), argv
+    # argparse names a missing or unknown command by the subparsers' metavar
+    # where one is set, so the full parser must leave it unset
+    assert built[USAGE_CASES.index([])][2].endswith("the following arguments are required: command\n")
+    assert "argument command: invalid choice" in built[USAGE_CASES.index(["no-such-command"])][2]
+
+
 def test_one_process_answers_like_fresh_ones(monkeypatch, capsys):
-    # run builds its parser once per process; what one call parses must not
-    # change what the next one prints or returns
+    # run builds each command's parser once per process; what one call
+    # parses must not change what the next one prints or returns, whichever
+    # subcommand it names
     monkeypatch.setenv("COLUMNS", "80")  # the help's line width, here and in each fresh process
     answer = ["ip-opt", "--k", "10", "--mu", "80/71", "--explain"]
-    for argv in (["eval", "--k", "4"], ["--help"], answer, answer):
+    rows = ["table", "--family", "lee", "--k-min", "2", "--k-max", "4"]
+    for argv in (
+        ["eval", "--k", "4"], ["--help"], answer, rows, ["table", "--family", "lee", "--k-min", "4", "--k-max", "3"],
+        ["sylvester", "--count", "3", "extra"], ["no-such-command"], rows, ["eval", "--k", "4"], answer, answer,
+    ):
         code = run(argv)
         out, err = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "harmonic_knapsack", *argv], capture_output=True, text=True)
