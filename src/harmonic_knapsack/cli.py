@@ -9,12 +9,17 @@ library returns exact values; every decimal printed is rendered here from
 the fraction next to it, never from a float, and every fraction in JSON is
 encoded by one json.dumps hook as {"num": "...", "den": "..."}.
 
+The subcommand table, _SUBCOMMANDS, declares each command once: its help,
+options, default --digits and handler. A command with a default --digits
+(8 places for eval, ip-opt and table, 15 for sylvester and limit) prints
+text, CSV or JSON by --format; witness and simulate have none and print
+JSON only.
+
 Each handler with a --format option builds its result once, as a JSON
 record, CSV columns and rows, and text lines; _emit alone picks which one
 to print. A CSV field is an integer, a fraction, a decimal, a method name,
 space-separated counts or "--", none of which holds a comma, a quote or a
 line break, so a plain comma join is the CSV that csv.writer would write.
-witness and simulate print JSON only.
 
 Start-up is most of a call, so a call builds only the subparser its first
 word names (all seven for --help, an unknown word or none), and json is
@@ -135,20 +140,16 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
     return out
 
 
-def _frac_json(value) -> dict:
-    """json.dumps hook: a Fraction becomes {"num", "den"}, anything else fails.
-
-    Decimal strings sidestep integer-width limits in JSON consumers.
-    """
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _dump_json(obj) -> None:
+    """Print obj, made of int, str, None, list, dict and Fraction, as JSON.
+
+    A Fraction becomes {"num": "...", "den": "..."}: decimal strings sidestep
+    integer-width limits in JSON consumers.
+    """
     import json
 
-    print(json.dumps(obj, sort_keys=True, indent=2, default=_frac_json))
+    print(json.dumps(obj, sort_keys=True, indent=2,
+                     default=lambda f: {"num": str(f.numerator), "den": str(f.denominator)}))
 
 
 def _emit(args, record, columns, rows, lines) -> None:
@@ -337,11 +338,6 @@ def _cmd_simulate(args, parser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(sub, default_digits: int) -> None:
-    sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sub.add_argument("--digits", type=_int_arg(1, MAX_DIGITS), default=default_digits, help="decimal places")
-
-
 def _add_params(sub, required: bool = True) -> None:
     """--k and exactly one of --mu or --family (at most one if not required)."""
     sub.add_argument("--k", type=_int_arg(digits=MAX_K_DIGITS), required=True)
@@ -370,31 +366,26 @@ class _Parser(argparse.ArgumentParser):
 def _eval_options(p) -> None:
     _add_params(p)
     p.add_argument("--x", type=parse_rational_arg, required=True)
-    _add_format(p, TABLE_DIGITS)
 
 
 def _ip_opt_options(p) -> None:
     _add_params(p)
     p.add_argument("--method", choices=["auto", "brute", "closed", "greedy"], default="auto")
     p.add_argument("--explain", action="store_true", help="show m, Q and the prefix-sum pieces")
-    _add_format(p, TABLE_DIGITS)
 
 
 def _table_options(p) -> None:
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--k-min", type=_int_arg(1, digits=MAX_K_DIGITS), required=True)
     p.add_argument("--k-max", type=_int_arg(digits=MAX_K_DIGITS), required=True)
-    _add_format(p, TABLE_DIGITS)
 
 
 def _sylvester_options(p) -> None:
     p.add_argument("--count", type=_int_arg(1, MAX_COUNT), required=True)
-    _add_format(p, LIMIT_DIGITS)
 
 
 def _limit_options(p) -> None:
     p.add_argument("--terms", type=_int_arg(), required=True)
-    _add_format(p, LIMIT_DIGITS)
 
 
 def _witness_options(p) -> None:
@@ -411,15 +402,17 @@ def _simulate_options(p) -> None:
     p.add_argument("--shuffle", type=_int_arg(), metavar="SEED", help="shuffle arrival order")
 
 
-# name: (help, options, handler), in the order the help lists them
+# name: (help, options, default --digits, handler), in the order the help
+# lists them; a command whose default is None prints JSON only and takes
+# neither --format nor --digits
 _SUBCOMMANDS = {
-    "eval": ("evaluate the payoff function at one size", _eval_options, _cmd_eval),
-    "ip-opt": ("optimal knapsack profit for (k, mu)", _ip_opt_options, _cmd_ip_opt),
-    "table": ("optimum per k under a slope family", _table_options, _cmd_table),
-    "sylvester": ("sequence terms and reciprocal prefix sums", _sylvester_options, _cmd_sylvester),
-    "limit": ("two-sided bracket on the limiting optimum", _limit_options, _cmd_limit),
-    "witness": ("near-optimal instance as JSON sizes", _witness_options, _cmd_witness),
-    "simulate": ("run the online packer, result as JSON", _simulate_options, _cmd_simulate),
+    "eval": ("evaluate the payoff function at one size", _eval_options, TABLE_DIGITS, _cmd_eval),
+    "ip-opt": ("optimal knapsack profit for (k, mu)", _ip_opt_options, TABLE_DIGITS, _cmd_ip_opt),
+    "table": ("optimum per k under a slope family", _table_options, TABLE_DIGITS, _cmd_table),
+    "sylvester": ("sequence terms and reciprocal prefix sums", _sylvester_options, LIMIT_DIGITS, _cmd_sylvester),
+    "limit": ("two-sided bracket on the limiting optimum", _limit_options, LIMIT_DIGITS, _cmd_limit),
+    "witness": ("near-optimal instance as JSON sizes", _witness_options, None, _cmd_witness),
+    "simulate": ("run the online packer, result as JSON", _simulate_options, None, _cmd_simulate),
 }
 
 
@@ -439,10 +432,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_options, handler) in _SUBCOMMANDS.items():
+    for name, (help_text, add_options, digits, handler) in _SUBCOMMANDS.items():
         if command in (None, name):
             sub = subs.add_parser(name, help=help_text)
             add_options(sub)
+            if digits is not None:
+                sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
+                sub.add_argument("--digits", type=_int_arg(1, MAX_DIGITS), default=digits, help="decimal places")
             sub.set_defaults(handler=handler)
     return parser
 

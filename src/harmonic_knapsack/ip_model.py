@@ -40,7 +40,6 @@ from .harmonic import HarmonicParams
 
 __all__ = [
     "BRUTE_CAP",
-    "IpSolution",
     "MAX_VECTOR_K",
     "SolveOutcome",
     "check_vector_k",
@@ -48,8 +47,6 @@ __all__ = [
     "solve_bnb",
     "solve_brute",
 ]
-
-IpSolution = tuple[int, ...]
 
 # Largest k the exhaustive search accepts. Shared subtrees are solved once,
 # so k = 14 takes about 9-12 ms (best of 5) on a 2-vCPU VM under CPython
@@ -76,12 +73,12 @@ class SolveOutcome(NamedTuple):
 
     opt: Fraction
     method: str
-    counts: Optional[IpSolution] = None
+    counts: Optional[tuple[int, ...]] = None
     feasible_count: Optional[int] = None
     nodes_visited: Optional[int] = None
 
     @property
-    def argmax(self) -> Optional[IpSolution]:
+    def argmax(self) -> Optional[tuple[int, ...]]:
         """counts under its old name, read only; it stays until perfbench reads counts."""
         return self.counts
 

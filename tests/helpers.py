@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from harmonic_knapsack.harmonic import HarmonicParams, eval_fk
-from harmonic_knapsack.ip_model import IpSolution
 from harmonic_knapsack.solvers import greedy_solution
 
 # The slopes below 1 on which branch-and-bound ran slowest at k = MAX_VECTOR_K:
@@ -17,7 +16,7 @@ WORST_BNB_SLOPES = (
 )
 
 
-def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
+def score(counts: tuple[int, ...], params: HarmonicParams) -> Fraction:
     """mu plus the per-class gains counts[j-1]*(1/j - mu/(j+1)), exact."""
     total = params.mu
     for j, c in enumerate(counts, start=1):
@@ -26,7 +25,7 @@ def score(counts: IpSolution, params: HarmonicParams) -> Fraction:
     return total
 
 
-def cost(counts: IpSolution, params: HarmonicParams) -> Fraction:
+def cost(counts: tuple[int, ...], params: HarmonicParams) -> Fraction:
     """Knapsack load sum counts[j-1]/(j+1), exact."""
     return sum((Fraction(c, j + 1) for j, c in enumerate(counts, start=1) if c), Fraction(0))
 

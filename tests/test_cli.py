@@ -299,6 +299,7 @@ VALID = {
     "witness": ["witness", "--k", "4", "--mu", "4/3"],
     "simulate": ["simulate", "--k", "3", "--mu", "3/2", "--adversarial", "1"],
 }
+JSON_ONLY = ("witness", "simulate")
 USAGE_CASES = [
     case
     for name, valid in VALID.items()
@@ -309,6 +310,7 @@ USAGE_CASES = [
         [*valid, "--no-such-option"],
         [*valid, "extra"],
         *([[*valid, "--family", "lee"]] if "--mu" in valid else []),  # a --mu/--family conflict
+        *([[*valid, "--format", "json"]] if name in JSON_ONLY else []),
     )
 ] + [
     ["table", "--family", "lee", "--k-min", "4", "--k-max", "3"],
@@ -335,6 +337,40 @@ def test_help_and_usage_match_the_full_parser(monkeypatch, capsys):
     # where one is set, so the full parser must leave it unset
     assert built[USAGE_CASES.index([])][2].endswith("the following arguments are required: command\n")
     assert "argument command: invalid choice" in built[USAGE_CASES.index(["no-such-command"])][2]
+
+
+def test_subcommand_table_decides_formats_and_places(monkeypatch, capsys):
+    # each row of the subcommand table declares its help and whether the
+    # command takes --format and --digits, with its default places
+    monkeypatch.setenv("COLUMNS", "80")
+    places = {"eval": 8, "ip-opt": 8, "table": 8, "sylvester": 15, "limit": 15}
+    for name, digits in places.items():
+        args = cli.build_parser(name).parse_args(VALID[name])
+        assert (args.format, args.digits) == ("text", digits), name
+        assert run([name, "--help"]) == 0
+        assert "--format {text,csv,json}" in capsys.readouterr().out
+        for fmt in ("text", "csv", "json"):
+            assert run([*VALID[name], "--format", fmt]) == 0, (name, fmt)
+            out = capsys.readouterr().out
+            if fmt == "json":
+                json.loads(out)
+    for name in JSON_ONLY:
+        assert run([name, "--help"]) == 0
+        assert "--format" not in capsys.readouterr().out
+        for extra in (["--format", "json"], ["--digits", "3"]):
+            assert run([*VALID[name], *extra]) == 2, (name, extra)
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+    assert run(["--help"]) == 0
+    listed = re.findall(r"^    (\S+) +(\S.*)$", capsys.readouterr().out, re.MULTILINE)
+    assert listed == [
+        ("eval", "evaluate the payoff function at one size"),
+        ("ip-opt", "optimal knapsack profit for (k, mu)"),
+        ("table", "optimum per k under a slope family"),
+        ("sylvester", "sequence terms and reciprocal prefix sums"),
+        ("limit", "two-sided bracket on the limiting optimum"),
+        ("witness", "near-optimal instance as JSON sizes"),
+        ("simulate", "run the online packer, result as JSON"),
+    ]
 
 
 def test_one_process_answers_like_fresh_ones(monkeypatch, capsys):
