@@ -7,17 +7,19 @@ next to. Equivalent CLI calls are shown before each block.
 
 from harmonic_knapsack.cli import run
 
+COMMANDS = [
+    *(f"table --family {family} --k-min 2 --k-max 12" for family in ("lee", "caprara", "refined")),
+    "sylvester --count 7",
+    "limit --terms 10",
+]
+
 
 def main() -> int:
-    for family in ("lee", "caprara", "refined"):
-        print(f"$ harmonic-knapsack table --family {family} --k-min 2 --k-max 12")
-        run(["table", "--family", family, "--k-min", "2", "--k-max", "12"])
-        print()
-    print("$ harmonic-knapsack sylvester --count 7")
-    run(["sylvester", "--count", "7"])
-    print()
-    print("$ harmonic-knapsack limit --terms 10")
-    run(["limit", "--terms", "10"])
+    for i, line in enumerate(COMMANDS):
+        if i:
+            print()
+        print(f"$ harmonic-knapsack {line}")
+        run(line.split())
     return 0
 
 

@@ -60,7 +60,9 @@ def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     j = r_1, ..., r_Q, which closed_form_pieces returns along with r_{Q+1}.
     The bundle is one item (1+eps)/(j+1) per such class (none where m = 0),
     then copies of 1/k while they fit, then the exact remainder, all
-    computed on the integers of eps = a/b and r = r_{Q+1}.
+    computed on the integers of eps = a/b and r = r_{Q+1}; eps is a Fraction,
+    int, finite float or Decimal, read at its exact value through
+    as_integer_ratio().
     eps must be positive and is lowered to 1/s - 1 where the vector's cost s
     is positive; the profit is score - mu*eps*s exactly. As s telescopes to
     1 - 1/r, that is 1/(r - 1) where Q > 0, and as each greedy class
@@ -69,7 +71,7 @@ def build_witness(params: HarmonicParams, eps) -> tuple[Fraction, ...]:
     read, as greedy refuses it.
     """
     check_vector_k(params.k)
-    a, b = Fraction(eps).as_integer_ratio()
+    a, b = eps.as_integer_ratio()
     if a <= 0:
         raise ValueError("eps must be positive")
     _, classes, r, _ = closed_form_pieces(params)

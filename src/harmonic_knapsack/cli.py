@@ -44,12 +44,10 @@ from .analysis import FAMILIES, build_witness, mu_for, tinf_bracket
 from .binpack import adversarial_instance, harmonic_pack
 from .exactnum import to_decimal
 from .harmonic import HarmonicParams, eval_fk
-from .solvers import closed_form_pieces, solve, sylvester_rows
+from .solvers import ROUTES, closed_form_pieces, solve, sylvester_rows
 
 __all__ = ["parse_rational_arg", "run", "main"]
 
-TABLE_DIGITS = 8
-LIMIT_DIGITS = 15
 # CPython refuses to print an int of more than 4300 digits, so no rational
 # read from outside may carry more than that on either side of its slash, nor
 # may a computed result that prints as a fraction (_printable);
@@ -370,7 +368,7 @@ def _eval_options(p) -> None:
 
 def _ip_opt_options(p) -> None:
     _add_params(p)
-    p.add_argument("--method", choices=["auto", "brute", "closed", "greedy"], default="auto")
+    p.add_argument("--method", choices=["auto", *ROUTES], default="auto")
     p.add_argument("--explain", action="store_true", help="show m, Q and the prefix-sum pieces")
 
 
@@ -406,11 +404,11 @@ def _simulate_options(p) -> None:
 # lists them; a command whose default is None prints JSON only and takes
 # neither --format nor --digits
 _SUBCOMMANDS = {
-    "eval": ("evaluate the payoff function at one size", _eval_options, TABLE_DIGITS, _cmd_eval),
-    "ip-opt": ("optimal knapsack profit for (k, mu)", _ip_opt_options, TABLE_DIGITS, _cmd_ip_opt),
-    "table": ("optimum per k under a slope family", _table_options, TABLE_DIGITS, _cmd_table),
-    "sylvester": ("sequence terms and reciprocal prefix sums", _sylvester_options, LIMIT_DIGITS, _cmd_sylvester),
-    "limit": ("two-sided bracket on the limiting optimum", _limit_options, LIMIT_DIGITS, _cmd_limit),
+    "eval": ("evaluate the payoff function at one size", _eval_options, 8, _cmd_eval),
+    "ip-opt": ("optimal knapsack profit for (k, mu)", _ip_opt_options, 8, _cmd_ip_opt),
+    "table": ("optimum per k under a slope family", _table_options, 8, _cmd_table),
+    "sylvester": ("sequence terms and reciprocal prefix sums", _sylvester_options, 15, _cmd_sylvester),
+    "limit": ("two-sided bracket on the limiting optimum", _limit_options, 15, _cmd_limit),
     "witness": ("near-optimal instance as JSON sizes", _witness_options, None, _cmd_witness),
     "simulate": ("run the online packer, result as JSON", _simulate_options, None, _cmd_simulate),
 }

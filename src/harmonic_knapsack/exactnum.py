@@ -8,21 +8,22 @@ fixed-point rendering, so that lives here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = ["to_decimal"]
 
 
 def to_decimal(value, digits: int) -> str:
     """Fixed-point rendering with exactly `digits` fractional places.
 
+    value is a Fraction, int, finite float or Decimal, read at its exact
+    value through as_integer_ratio().
+
     Ties round half away from zero: 0.125 -> "0.13" at two places, and
-    -0.125 -> "-0.13". No floats are involved, so the output is bit-stable
+    -0.125 -> "-0.13". No float arithmetic runs, so the output is bit-stable
     across platforms.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    num, den = (value if isinstance(value, Fraction) else Fraction(value)).as_integer_ratio()
+    num, den = value.as_integer_ratio()
     scale = 10**digits
     units, rem = divmod(abs(num) * scale, den)
     if 2 * rem >= den:

@@ -56,11 +56,13 @@ class KnapsackInstance:
 def classify(params: HarmonicParams, x) -> int:
     """Index of the size class containing x.
 
+    x is a Fraction, int, finite float or Decimal, read at its exact value
+    through as_integer_ratio().
+
     Left boundaries are exclusive and right boundaries inclusive, so x = 1/j
     lands in class j; everything at or below 1/k lands in class k.
     """
-    x = Fraction(x)
-    n, d = x.numerator, x.denominator
+    n, d = x.as_integer_ratio()
     if not 0 <= n <= d:
         raise ValueError("x must lie in [0, 1]")
     if n * params.k <= d:

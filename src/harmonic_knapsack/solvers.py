@@ -22,8 +22,10 @@ corner to ip_model.solve_bnb, the branch-and-bound search, which the tests
 check against the exhaustive solver, against committed optima past that
 solver's cap and against a shortcut-free oracle.
 The auto test and solve_closed_form's guard read mu as its lowest-terms
-integer pair p/q and compare p < q, so no Fraction comparison runs. Every
-route returns ip_model.SolveOutcome, which solve passes on unchanged.
+integer pair p/q and compare p < q, so no Fraction comparison runs. solve
+runs auto itself and every other method through ROUTES, the one table of
+method names, which cli's --method reads for its choices. Every route
+returns ip_model.SolveOutcome, which solve passes on unchanged.
 """
 
 from __future__ import annotations
@@ -124,6 +126,10 @@ def greedy_solution(params: HarmonicParams) -> SolveOutcome:
     return SolveOutcome(s_next + (params.mu - 1) / r_next, "greedy", tuple(counts))
 
 
+# method name -> solver for every route but auto, in the order cli's --method lists them
+ROUTES = {"brute": solve_brute, "closed": solve_closed_form, "greedy": greedy_solution}
+
+
 def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
     """Dispatch to a solver, auto, brute, closed or greedy, and return its record unchanged.
 
@@ -131,16 +137,14 @@ def solve(params: HarmonicParams, method: str = "auto") -> SolveOutcome:
     form does not cover it runs the branch-and-bound search instead, which
     accepts k up to ip_model.MAX_VECTOR_K, as greedy does, and returns
     method "bnb" with the lexicographically smallest maximizer as counts.
+    Every other method is looked up in ROUTES; "bnb" names a record, not a
+    route, so it is refused like any unknown name.
     """
     if method == "auto":
         p, q = params.mu.as_integer_ratio()
         if params.k >= 2 and p < q:
             return solve_bnb(params)
         return solve_closed_form(params)
-    if method == "brute":
-        return solve_brute(params)
-    if method == "closed":
-        return solve_closed_form(params)
-    if method == "greedy":
-        return greedy_solution(params)
-    raise ValueError(f"unknown method {method!r}; expected auto, brute, closed or greedy")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}; expected auto, brute, closed or greedy")
+    return ROUTES[method](params)

@@ -315,6 +315,7 @@ USAGE_CASES = [
 ] + [
     ["table", "--family", "lee", "--k-min", "4", "--k-max", "3"],
     ["table", "--family", "lee", "--k-min", "1", "--k-max", "1001"],
+    [*VALID["ip-opt"], "--method", "bnb"],
     [], ["--help"], ["no-such-command"],
 ]
 
@@ -337,6 +338,12 @@ def test_help_and_usage_match_the_full_parser(monkeypatch, capsys):
     # where one is set, so the full parser must leave it unset
     assert built[USAGE_CASES.index([])][2].endswith("the following arguments are required: command\n")
     assert "argument command: invalid choice" in built[USAGE_CASES.index(["no-such-command"])][2]
+
+
+def test_method_choices_are_auto_and_the_routes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["ip-opt", "--help"]) == 0
+    assert "--method {auto,brute,closed,greedy}" in capsys.readouterr().out
 
 
 def test_subcommand_table_decides_formats_and_places(monkeypatch, capsys):
@@ -763,6 +770,19 @@ RATIONALS = [
     "1_0/3", "1/ 2", "٣/9", " 1/2 ",
 ]
 EPS = ["1/100", "3", "1e-300000"]
+# --items files by name, written once per session by items_dir; None is a
+# path that does not exist
+ITEM_FILES = {
+    "sizes.json": '["1/2", "1/3", "2/7", "1"]',
+    "three-halves.json": '["3/2"]',
+    "zero.json": '["0"]',
+    "not-strings.json": '[1, "1/2"]',
+    "not-an-array.json": '{"sizes": ["1/2"]}',
+    "long.json": '["1/' + "3" * 4301 + '"]',
+    "deep.json": "[" * 5000 + "]" * 5000,
+    "missing.json": None,
+}
+SOURCES = [["--adversarial", n] for n in ("-1", "3", str(10**30))] + [["--items", name] for name in ITEM_FILES]
 SLOPES = [[], ["--mu", "1/2"], ["--mu", "3"], ["--mu", "7" * 4301], ["--family", "lee"], ["--family", "caprara"]]
 COMMANDS = {
     "eval": lambda pick: ["--k", pick(INTS), *pick(SLOPES), "--x", pick(RATIONALS), "--digits", pick(INTS)],
@@ -778,10 +798,19 @@ COMMANDS = {
     "limit": lambda pick: ["--terms", pick(INTS), "--digits", pick(INTS)],
     "witness": lambda pick: ["--k", pick(INTS), *pick(SLOPES), "--eps", pick(EPS)],
     "simulate": lambda pick: [
-        "--k", pick(INTS), *pick(SLOPES), "--adversarial", pick(["-1", "3", str(10**30)]),
+        "--k", pick(INTS), *pick(SLOPES), *pick(SOURCES),
         "--eps", pick(EPS), *pick([[], ["--shuffle", "7"], ["--shuffle", "-1"]]),
     ],
 }
+
+
+@pytest.fixture(scope="session")
+def items_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("items")
+    for name, text in ITEM_FILES.items():
+        if text is not None:
+            (path / name).write_text(text)
+    return path
 
 
 @st.composite
@@ -793,10 +822,12 @@ def cli_argv(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cli_argv())
 @example(["simulate", "--k", "3", "--mu", "3/2", "--adversarial", str(10**30)])
+@example(["simulate", "--k", "3", "--items", "long.json"])
 @example(["ip-opt", "--k", "10000", "--mu", "1/2"])
 @example(["ip-opt", "--k", "10001", "--mu", "1/2"])
 @example(["ip-opt", "--k", "10000", "--mu", "1/1" + "0" * 4299])
-def test_cli_fuzz_exits_cleanly_and_quickly(argv):
+def test_cli_fuzz_exits_cleanly_and_quickly(items_dir, argv):
+    argv = [str(items_dir / word) if word in ITEM_FILES else word for word in argv]
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

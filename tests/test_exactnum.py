@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harmonic_knapsack.analysis import build_witness
 from harmonic_knapsack.exactnum import to_decimal
+from harmonic_knapsack.harmonic import HarmonicParams, classify
 from reference_values import TABLE_DECIMALS, TABLE_OPT
 
 F = Fraction
@@ -22,6 +24,22 @@ def test_arithmetic_examples():
 def test_division_by_zero_propagates():
     with pytest.raises(ZeroDivisionError):
         F(1, 2) / F(0)
+
+
+def test_int_float_and_fraction_arguments_read_alike():
+    # to_decimal, classify and build_witness read their argument's exact
+    # integer pair, so an int or an exactly representable float gives the
+    # result of the equal Fraction
+    params = HarmonicParams(3, F(3, 2))  # eps is not clamped below 1 here
+    for value, exact in [(1, F(1)), (0.5, F(1, 2)), (0.25, F(1, 4))]:
+        assert to_decimal(value, 3) == to_decimal(exact, 3), value
+        assert classify(params, value) == classify(params, exact), value
+        assert build_witness(params, value) == build_witness(params, exact), value
+    assert [classify(params, x) for x in (1, 0.5, 0.25, 0)] == [1, 2, 3, 3]
+    assert build_witness(params, 0.25) == (F(5, 8), F(1, 3), F(1, 24))
+    assert build_witness(params, 0.5) == (F(3, 4), F(1, 4))
+    assert build_witness(params, 1) == (F(1),)
+    assert to_decimal(-0.25, 1) == "-0.3"
 
 
 def test_to_decimal_examples():

@@ -255,8 +255,10 @@ def test_solve_dispatch():
     assert (out.opt, out.method) == (F(0), "closed")
     out = solve(HarmonicParams(4, F(4, 3)), method="greedy")
     assert (out.opt, out.counts) == (F(31, 18), (1, 1, 0))
-    with pytest.raises(ValueError):
-        solve(HarmonicParams(4, F(4, 3)), method="simplex")
+    # "bnb" names auto's search record, not a route of its own
+    for method in ("simplex", "bnb"):
+        with pytest.raises(ValueError, match="expected auto, brute, closed or greedy"):
+            solve(HarmonicParams(4, F(4, 3)), method=method)
     # auto tests mu's integer pair p < q; both sides of mu = 1
     tiny = F(1, 10**100)
     out = solve(HarmonicParams(2, F(1)))
