@@ -3,6 +3,9 @@
 Outside text is the options, the rationals of --mu, --x and --eps, and the
 --items files. One ASCII pattern, _NUMBER, decides every number in it alike on
 every Python version; each digit bound follows from CPython's 4300-digit limit.
+For every option, a separate word that starts with "-" and then a digit or "."
+is its value, as after "=" (argparse alone admits only "-123" and "-1.5"). An
+--items file is read up to MAX_ITEMS_CHARS characters.
 
 Subcommands: eval, ip-opt, table, sylvester, limit, witness, simulate. The
 library returns exact values; every decimal printed is rendered here from
@@ -66,10 +69,9 @@ MAX_TABLE_ROWS = 1_000
 # Every family's optimum at the largest k of up to 1316 digits still prints
 # (its denominator grows with k).
 MAX_K_DIGITS = 1_300
-# Options that take a rational. argparse reads a separate word such as "-1/3"
-# or "-1e3" as an option (only "-123" and "-1.5" pass as negative numbers),
-# so run() joins such a word to its option before parsing.
-RATIONAL_OPTIONS = ("--mu", "--x", "--eps")
+# an --items file is read up to this many characters (4 MiB of ASCII, over
+# 200,000 sizes written as "p/1000000") and refused beyond it
+MAX_ITEMS_CHARS = 2**22
 
 
 def parse_rational(text: str) -> Fraction:
@@ -98,9 +100,15 @@ def _printable(value: Fraction, name: str = "the result") -> Fraction:
 
 
 def parse_sizes(text: str) -> tuple[Fraction, ...]:
-    """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range."""
+    """Sizes from a JSON array of "p/q" strings via parse_rational; harmonic_pack checks the range.
+
+    A text of more than MAX_ITEMS_CHARS characters is refused unparsed, so a
+    caller need read no more than one character past the bound.
+    """
     import json  # only --items and JSON output need it; kept off the start-up path
 
+    if len(text) > MAX_ITEMS_CHARS:
+        raise ValueError(f"an --items file may hold at most {MAX_ITEMS_CHARS} characters")
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError):  # not JSON, an int past CPython's limit, or nested too deep
@@ -116,26 +124,6 @@ def parse_rational_arg(s: str) -> Fraction:
         return parse_rational(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _join_negative_rationals(argv: list[str]) -> list[str]:
-    """`--eps -1/3` becomes `--eps=-1/3`, so both spellings reach the value check.
-
-    Only a word that starts with "-" and then an ASCII digit or "." is joined,
-    and only to a rational option or an abbreviation of one.
-    """
-    out: list[str] = []
-    for word in argv:
-        prev = out[-1] if out else ""
-        if (
-            re.match("-[0-9.]", word)
-            and len(prev) > 2
-            and any(name.startswith(prev) for name in RATIONAL_OPTIONS)
-        ):
-            out[-1] = f"{prev}={word}"
-        else:
-            out.append(word)
-    return out
 
 
 def _dump_json(obj) -> None:
@@ -309,7 +297,7 @@ def _cmd_simulate(args, parser) -> None:
     params = _params(args)
     if args.items is not None:
         with open(args.items, "r", encoding="utf-8") as fh:
-            items = parse_sizes(fh.read())
+            items = parse_sizes(fh.read(MAX_ITEMS_CHARS + 1))
     else:
         items = adversarial_instance(params, args.adversarial, args.eps)
     if args.shuffle is not None:
@@ -354,8 +342,19 @@ def _add_eps(sub) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that --help lets a failed write raise, so a
-    closed stdout exits 1 as for any output; subparsers are built from it too."""
+    """argparse's parser with two changes; subparsers are built from it too.
+
+    A separate word that starts with "-" and then an ASCII digit or "." is a
+    value, after any option and as the command word: argparse alone admits
+    only "-123" and "-1.5", and reads "-1/3", "-1e3" and "-.5e1" as options.
+    So `--k -1e3` and `--k=-1e3` reach the same check. --help lets a failed
+    write raise, so a closed stdout exits 1 as for any output.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's private test, matched at a word's start (the same name and use in 3.10-3.13)
+        self._negative_number_matcher = re.compile("-[0-9.]")
 
     def print_help(self, file=None) -> None:
         (file or sys.stdout).write(self.format_help())
@@ -446,7 +445,7 @@ def run(argv=None) -> int:
         read_end, write_end = os.pipe()
         os.close(read_end)
         sys.stdout = open(write_end, "w", closefd=False)
-    argv = _join_negative_rationals(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     # --help, an unknown word or no word at all gets every subcommand
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:

@@ -340,6 +340,29 @@ def test_help_and_usage_match_the_full_parser(monkeypatch, capsys):
     assert "argument command: invalid choice" in built[USAGE_CASES.index(["no-such-command"])][2]
 
 
+def test_every_option_reads_a_negative_looking_word_as_its_value(monkeypatch, capsys):
+    # one rule for every option that takes a value, read off the parser: a
+    # separate word that starts with "-" and then a digit or "." reads as it
+    # does after "=", although argparse alone reads "-1e3" as an option
+    monkeypatch.setenv("COLUMNS", "80")
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for name, sub in subparsers.choices.items():
+        valid = VALID[name]
+        for option in (a.option_strings[-1] for a in sub._actions if a.option_strings and a.nargs != 0):
+            # the option's value in the valid call is replaced; any other option is added
+            at = valid.index(option) if option in valid else len(valid)
+            for value in ("-1e3", "-1/3", "-.5e1"):
+                results = []
+                for words in ([option, value], [f"{option}={value}"]):
+                    code = run([*valid[:at], *words, *valid[at + 2:]])
+                    results.append((code, *capsys.readouterr()))
+                assert results[0] == results[1], (name, option, value)
+                assert code in (1, 2), (name, option, value)
+            checked.add((name, option))
+    assert len(checked) == 34
+
+
 def test_method_choices_are_auto_and_the_routes(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(["ip-opt", "--help"]) == 0
@@ -714,6 +737,22 @@ def test_simulate_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_items_file_is_read_up_to_a_bound(tmp_path, capsys):
+    # a file of MAX_ITEMS_CHARS characters packs; a longer or endless one is
+    # refused after reading one character past the bound
+    bound = cli.MAX_ITEMS_CHARS
+    path = tmp_path / "items.json"
+    path.write_text('["1/2"' + " " * (bound - 7) + "]")
+    assert run(["simulate", "--k", "3", "--items", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["num_items"] == 1
+    path.write_text('["1/2"' + " " * (bound - 6) + "]")
+    for name in (str(path), "/dev/zero"):
+        start = time.perf_counter()
+        assert run(["simulate", "--k", "3", "--items", name]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: an --items file may hold at most {bound} characters\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "harmonic_knapsack", "eval", "--k", "4", "--mu", "4/3", "--x", "2/7"],
@@ -764,10 +803,10 @@ def test_closed_stdout_exits_one_quietly():
 # Option values for the fuzz test: edge cases, huge and malformed input. The
 # pools keep every call short: no table range reaches past k = 12 except
 # through a 2501-digit bound, which is refused.
-INTS = ["0", "-1", "1", "3", "12", str(10**30), str(10**2500), "1_0", "٤", " 4 "]
+INTS = ["0", "-1", "-1/3", "-1e3", "-.5e1", "1", "3", "12", str(10**30), str(10**2500), "1_0", "٤", " 4 "]
 RATIONALS = [
-    "0", "-1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301, "1/" + "3" * 4301,
-    "1_0/3", "1/ 2", "٣/9", " 1/2 ",
+    "0", "-1", "-1/3", "-1e3", "-.5e1", "1/2", "3/2", "3", "abc", "1/0", "1e-300000", "7" * 4301,
+    "1/" + "3" * 4301, "1_0/3", "1/ 2", "٣/9", " 1/2 ",
 ]
 EPS = ["1/100", "3", "1e-300000"]
 # --items files by name, written once per session by items_dir; None is a
@@ -780,6 +819,7 @@ ITEM_FILES = {
     "not-an-array.json": '{"sizes": ["1/2"]}',
     "long.json": '["1/' + "3" * 4301 + '"]',
     "deep.json": "[" * 5000 + "]" * 5000,
+    "over-the-bound.json": "[" + " " * (cli.MAX_ITEMS_CHARS - 1) + "]",
     "missing.json": None,
 }
 SOURCES = [["--adversarial", n] for n in ("-1", "3", str(10**30))] + [["--items", name] for name in ITEM_FILES]
