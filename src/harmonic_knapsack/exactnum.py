@@ -28,5 +28,6 @@ def to_decimal(value, digits: int) -> str:
     units, rem = divmod(abs(num) * scale, den)
     if 2 * rem >= den:
         units += 1
+    whole, frac = divmod(units, scale)
     sign = "-" if num < 0 else ""
-    return f"{sign}{units // scale}.{units % scale:0{digits}d}"
+    return f"{sign}{whole}.{str(frac).zfill(digits)}"

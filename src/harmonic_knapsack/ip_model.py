@@ -19,19 +19,21 @@ depth-first branch-and-bound over 0/1 counts with Dantzig's LP bound and a
 cardinality bound; it visits 18 nodes at k = 14, mu = 1/2, where the full
 tree has 237,931, so it serves far larger k. It searches only the classes
 1..m with a positive score coefficient, m from compute_m, and derives a
-class's step and gain when it visits the class, so its cost follows the
-nodes visited rather than k. It walks an explicit path of the classes it
-takes, so its stack does not grow with k, and its incumbent is a copy of
-that path.
+class's step and gain when it visits the class, so after the first query
+at a k its cost follows the nodes visited rather than k. It walks an
+explicit path of the classes it takes, so its stack does not grow with k,
+and its incumbent is a copy of that path.
 
 Both searches run on plain integers: with d = lcm(1..k) and mu = p/q, costs
 are scaled by d and scores by q*d, so every comparison is exact without
-per-node Fraction churn. The tests keep Fraction-based score and cost as
+per-node Fraction churn. d is computed once per k, after the cap check, and
+kept for the last 64 k. The tests keep Fraction-based score and cost as
 their exact oracle and check the scaled path against them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -89,6 +91,16 @@ def check_vector_k(k: int) -> None:
         raise ValueError(f"k is above {MAX_VECTOR_K}, the largest k with an explicit count vector")
 
 
+@functools.lru_cache(maxsize=64)
+def _lcm_to(k: int) -> int:
+    """d = lcm(1..k), built once per k and kept for the last 64 k.
+
+    At k <= MAX_VECTOR_K, d has at most 14,447 bits, so the 64 ints take
+    about 122 KiB at most.
+    """
+    return math.lcm(*range(1, k + 1))
+
+
 def solve_brute(params: HarmonicParams) -> SolveOutcome:
     """Maximize the score over all feasible count vectors.
 
@@ -113,7 +125,7 @@ def solve_brute(params: HarmonicParams) -> SolveOutcome:
     k = params.k
     if k == 1:  # no class to fill: the empty vector is the only leaf
         return SolveOutcome(params.mu, "brute", (), 1, 0)
-    d = math.lcm(*range(1, k + 1))
+    d = _lcm_to(k)
     p, q = params.mu.as_integer_ratio()
     steps = [d // (j + 1) for j in range(1, k)]
     gains = [q * d // j - p * d // (j + 1) for j in range(1, k)]
@@ -217,7 +229,7 @@ def solve_bnb(params: HarmonicParams) -> SolveOutcome:
     per class taken and one per class set back to 0.
     """
     check_vector_k(params.k)
-    d = math.lcm(*range(1, params.k + 1))
+    d = _lcm_to(params.k)
     p, q = params.mu.as_integer_ratio()
     qd = q * d
     least = d // params.k  # the step of class k - 1, the smallest

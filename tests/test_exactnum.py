@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,55 @@ def test_to_decimal_half_away_from_zero():
     assert to_decimal(F(-1, 8), 2) == "-0.13"
     assert to_decimal(F(5, 1000), 2) == "0.01"
     assert to_decimal(F(2), 8) == "2.00000000"
+
+
+def long_division(num, den, digits):
+    """num/den at `digits` places, half away from zero, by schoolbook long division.
+
+    One digit per step, then a carry through the digit list when the
+    remainder is at least half of den. Only the whole part and single digits
+    are converted to text, so no str() call meets CPython's 4,300-digit limit.
+    """
+    whole, rem = divmod(abs(num), den)
+    places = []
+    for _ in range(digits):
+        digit, rem = divmod(rem * 10, den)
+        places.append(digit)
+    if 2 * rem >= den:
+        i = digits - 1
+        while i >= 0 and places[i] == 9:
+            places[i] = 0
+            i -= 1
+        if i < 0:
+            whole += 1
+        else:
+            places[i] += 1
+    return ("-" if num < 0 else "") + str(whole) + "." + "".join(map(str, places))
+
+
+def test_to_decimal_matches_long_division():
+    values = [F(1, 10**7), F(-1, 10**7), F(3, 10**40), F(-7, 9), F(123456789, 1000), F(-10**30 - 1, 3)]
+    values += [Decimal("0.125"), Decimal("-2.5"), Decimal("1e-30"), 0.1, -0.3, 2.0**-60, 1e22]
+    # exact ties at the last place, positive and negative, some carrying
+    # into the whole part
+    for digits in range(1, 41):
+        values += [F(2 * n + 1, 2 * 10**digits) for n in (0, 1, 10**digits - 1, 3 * 10**digits + 4)]
+        values += [-F(2 * n + 1, 2 * 10**digits) for n in (0, 10**digits - 1)]
+    for value in values:
+        for digits in range(1, 41):
+            assert to_decimal(value, digits) == long_division(*value.as_integer_ratio(), digits), (value, digits)
+    assert to_decimal(F(1, 10**7), 8) == "0.00000010"
+    assert to_decimal(F(-1, 10**7), 8) == "-0.00000010"
+    assert to_decimal(F(1, 8), 2) == long_division(1, 8, 2) == "0.13"
+
+
+def test_to_decimal_at_4300_places():
+    # the 4,301-digit scaled values of 5/3 and 2 - 10^-4300 cannot pass
+    # through str() whole under CPython's default limit
+    for value in (F(5, 3), F(-1, 7), 2 - F(1, 10**4300)):
+        assert to_decimal(value, 4300) == long_division(value.numerator, value.denominator, 4300), value
+    assert to_decimal(2 - F(1, 10**4300), 4300) == "1." + "9" * 4300
+    assert to_decimal(F(5, 3), 4300) == "1." + "6" * 4299 + "7"
 
 
 def test_to_decimal_rejects_nonpositive_digits():

@@ -431,6 +431,7 @@ def test_solve_bnb_matches_the_shortcut_free_oracle():
     slopes = sorted({F(a, b) for b in range(1, 6) for a in range(b)})
     cases = [(k, mu) for k in range(15, 41) for mu in slopes]
     cases += [(k, mu) for k in (200, 1000) for mu in (F(0), F(1, 2), F(5, 12), F(9, 11))]
+    cases += [(2000, F(1, 2)), (2000, F(3, 7))]  # past k = 1,000, about 0.4 s each
     edges = (1 - F(1, 10**60), F(999, 1000), F(1, 10**60))
     cases += [(k, mu) for k in (40, 200, 1000) for mu in edges]
     limit = sys.getrecursionlimit()
@@ -518,6 +519,40 @@ def test_solve_bnb_leaves_no_cyclic_garbage():
 
 def test_bnb_cap_enforced():
     # the refusal is cheap: lcm(1..k) is never built
+    misses = ip_model._lcm_to.cache_info().misses
     for k in (MAX_VECTOR_K + 1, 10**30):
         with pytest.raises(ValueError, match="^k is above 10000, the largest k with an explicit count vector$"):
             solve_bnb(HarmonicParams(k, F(1, 2)))
+    assert ip_model._lcm_to.cache_info().misses == misses
+
+
+def test_lcm_cache_is_exact_and_bounded():
+    lcm_to = ip_model._lcm_to
+    for k in [*range(1, 301), 1765, 4000, MAX_VECTOR_K]:
+        assert lcm_to(k) == math.lcm(*range(1, k + 1)), k
+    # the sweep above passed 303 distinct k through a 64-entry cache
+    assert 0 < lcm_to.cache_info().currsize <= 64
+
+
+def test_solve_bnb_reads_the_same_with_a_cold_or_warm_lcm():
+    # the whole record, nodes_visited included. Cold: the cache is cleared
+    # before every call. Warm: slopes outer and k inner, so each k's d is
+    # read from the cache, except after every eighth slope, where 64 other
+    # k evict every entry and the next slope builds each d again
+    lcm_to = ip_model._lcm_to
+    slopes = sorted({F(a, b) for b in range(1, 13) for a in range(b)})
+    ks = [*range(2, 41), 200, 1000]
+    cold = {}
+    for k in ks:
+        for mu in slopes:
+            lcm_to.cache_clear()
+            cold[k, mu] = solve_bnb(HarmonicParams(k, mu))
+    lcm_to.cache_clear()
+    for i, mu in enumerate(slopes):
+        if i % 8 == 7:
+            for filler in range(41, 105):
+                lcm_to(filler)
+        for k in ks:
+            assert solve_bnb(HarmonicParams(k, mu)) == cold[k, mu], (k, mu)
+    info = lcm_to.cache_info()
+    assert info.hits > 0 and info.misses == 6 * len(ks) + 5 * 64, info
