@@ -9,12 +9,18 @@ first time an item does not fit, which is the one part that depends on the
 arrival order. All arithmetic is exact.
 
 The packer keeps counters only; bins and their contents are not kept. It
-counts the items of each class j < k and the bins of class k, and keeps,
-for the total size, numerator sums per denominator. The open class-k bin's
-load is two integers, load/scale, where scale is a multiple of the lcm of
-that bin's denominators, so each fit test is one integer compare and no
-Fraction is built per item. Its memory is O(k + distinct denominators)
-whatever the number of items.
+counts the items of each class j < k and the bins of class k. One floor
+division d // n names each size's class. The open class-k bin's load is two
+integers, load/scale, where scale is a multiple of the lcm of that bin's
+denominators, so each fit test is one integer compare and no Fraction is
+built per item. For the total size it keeps numerator sums per
+denominator: each class j < k size adds its numerator under its own
+denominator, and each class-k bin adds its exact load once under its
+scale, when it closes or, for the last open bin, after the last item. The
+keys are thus the distinct denominators below class k and the distinct
+scales of closed bins. Each scale is the lcm of a subset of the class-k
+denominators, so for sizes drawn from a fixed set the memory does not grow
+with the number of items.
 
 adversarial_instance replays many copies of a witness bundle whose total
 size is exactly 1, so the packer's bins-per-bundle ratio approaches the
@@ -59,6 +65,13 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
     number of items above 1/2); both quantities are valid lower bounds on
     any packing. ratio is bins_used over that bound, or None for the empty
     instance.
+
+    The exact total is kept per denominator: class j < k sizes add their
+    numerators one by one, and each class-k bin adds its exact load once,
+    when it closes or, for the open bin, after the last item. The keys are
+    the distinct denominators below class k and the distinct closed-bin
+    scales, each an lcm of some class-k denominators, so a fixed set of
+    sizes keeps a fixed number of keys however many items arrive.
     """
     k = params.k
     # class j < k -> its items, and class k -> its bins; keys in the order
@@ -67,37 +80,42 @@ def harmonic_pack(params: HarmonicParams, items: Iterable[Fraction]) -> PackingR
     # the open class-k bin holds load/scale, where scale is a multiple of the
     # lcm of its items' denominators; 1/1 reads "full" until the first opens
     load = scale = 1
-    numerators: dict[int, int] = {}  # denominator -> sum of numerators over it
+    # denominator -> sum of numerators over it: each class j < k size, and
+    # each class-k bin's exact load once, under its scale, when it closes
+    numerators: dict[int, int] = {}
     big_items = 0  # items above 1/2 in class k, which only k = 1 has
     for x in items:
         n, d = x.as_integer_ratio()
-        numerators[d] = numerators.get(d, 0) + n
-        if n * k <= d:  # class k, next-fit
-            if n <= 0:
-                raise ValueError("item size outside (0, 1]")
-            if 2 * n > d:
-                big_items += 1
-            if d == scale:
-                load += n
-            else:
-                # one gcd and no lcm: a big-by-small division costs as much
-                # as the gcd, so coprime d (g == 1) only multiplies
-                g = gcd(scale, d)
-                if g == d:
-                    load += n * (scale // d)
-                elif g == 1:
-                    load, scale = load * d + n * scale, scale * d
-                else:
-                    m = d // g
-                    load, scale = load * m + n * (scale // g), scale * m
-            if load > scale:
-                counts[k] = counts.get(k, 0) + 1
-                load, scale = n, d
+        if n <= 0:
+            raise ValueError("item size outside (0, 1]")
+        j = d // n  # floor(1/x), as in harmonic.classify; 0 for a size above 1
+        if j < k:
+            numerators[d] = numerators.get(d, 0) + n
+            counts[j] = counts.get(j, 0) + 1
             continue
-        # x in (1/k, 1]: floor(1/x) is the class, as in harmonic.classify;
-        # a size above 1 lands in class 0
-        j = d // n
-        counts[j] = counts.get(j, 0) + 1
+        # class k, next-fit
+        if 2 * n > d:
+            big_items += 1
+        if d == scale:
+            load += n
+        else:
+            # one gcd and no lcm: a big-by-small division costs as much
+            # as the gcd, so coprime d (g == 1) only multiplies
+            g = gcd(scale, d)
+            if g == d:
+                load += n * (scale // d)
+            elif g == 1:
+                load, scale = load * d + n * scale, scale * d
+            else:
+                m = d // g
+                load, scale = load * m + n * (scale // g), scale * m
+        if load > scale:
+            if k in counts:  # the bin closes without x; the placeholder adds nothing
+                numerators[scale] = numerators.get(scale, 0) + load - n * (scale // d)
+            counts[k] = counts.get(k, 0) + 1
+            load, scale = n, d
+    if k in counts:  # the open class-k bin
+        numerators[scale] = numerators.get(scale, 0) + load
     if 0 in counts:  # some size above 1
         raise ValueError("item size outside (0, 1]")
     per_class = {j: c if j == k else -(-c // j) for j, c in counts.items()}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonic_knapsack.analysis import mu_for
 from harmonic_knapsack.binpack import MAX_ITEMS, adversarial_instance, harmonic_pack
 from harmonic_knapsack.harmonic import HarmonicParams, classify
 from harmonic_knapsack.solvers import solve_closed_form
@@ -197,21 +198,46 @@ def test_classify_agrees_with_packer_at_class_boundaries():
                     assert harmonic_pack(params, [x]).per_class_bins == {classify(params, x): 1}
 
 
+def test_benchmark_packing_shapes_match_reference():
+    # the shapes the pack benchmark runs, past the k <= 13 and denominators
+    # <= 1,200 drawn above: witness bundles at eps = 1/100000 repeated to
+    # about 1,000 items, and 1,000 seeded sizes p/10^6, at each (family, k)
+    eps = F(1, 100_000)
+    rng = random.Random(38)
+    family_ks = [("lee", 3), ("lee", 7), ("lee", 12), ("lee", 44)]
+    family_ks += [("caprara", 5), ("caprara", 9), ("caprara", 14), ("caprara", 100)]
+    for family, k in family_ks:
+        params = HarmonicParams(k, mu_for(family, k))
+        bundles = round(1000 / len(adversarial_instance(params, 1, eps)))
+        check_against_reference(params, tuple(adversarial_instance(params, bundles, eps)))
+        check_against_reference(params, tuple(F(rng.randint(1, 10**6), 10**6) for _ in range(1000)))
+
+
+def pack_peak(params, sizes, n):
+    """tracemalloc peak of packing a generator of n sizes cycled from sizes."""
+    tracemalloc.start()
+    try:
+        harmonic_pack(params, islice(cycle(sizes), n))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_does_not_grow_with_item_count():
     # a generator of cycled sizes over classes 1, 2, 3 and k = 4: the packer
     # keeps counters, so 100,000 items peak no higher than 10,000
     params = HarmonicParams(4, F(4, 3))
     sizes = (F(3, 5), F(2, 5), F(1, 3), F(1, 5), F(1, 7))
+    assert pack_peak(params, sizes, 100_000) <= pack_peak(params, sizes, 10_000) + 2048
 
-    def peak(n):
-        tracemalloc.start()
-        try:
-            harmonic_pack(params, islice(cycle(sizes), n))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(100_000) <= peak(10_000) + 2048
+def test_memory_does_not_grow_with_closed_bin_scales():
+    # class-k sizes over seven coprime denominators: each closed bin adds its
+    # load to the total under its scale, an lcm of a subset of the seven, so
+    # the keys of the total stay bounded however many bins close
+    params = HarmonicParams(12, F(12, 11))
+    sizes = (F(3, 5), F(2, 5)) + tuple(F(1, p) for p in (13, 17, 19, 23, 29, 31, 37))
+    assert pack_peak(params, sizes, 100_000) <= pack_peak(params, sizes, 10_000) + 2048
 
 
 def test_total_size_is_fast_with_many_distinct_denominators():

@@ -307,6 +307,16 @@ def test_results_expose_their_fields():
         assert solve(params, method) == route(params), (params, method)
 
 
+def test_auto_just_below_one_picks_the_greedy_classes():
+    # at mu = 1 - 10^-30 the search's optimum is greedy's vector, one item in
+    # each Sylvester class: branch-and-bound reaches the closed form's classes
+    mu = 1 - F(1, 10**30)
+    for k in [*range(2, 301), 1000]:
+        params = HarmonicParams(k, mu)
+        out = solve(params, "auto")
+        assert out.method == "bnb" and out.counts == greedy_solution(params).counts, k
+
+
 def test_auto_below_one_at_k_1000_within_budget():
     # 46 slopes mu = a/b < 1 with b <= 12 at k = 1,000; each takes a few ms
     # on a 2-vCPU VM, so 5 s is a wide budget
